@@ -44,7 +44,6 @@ from .solver import (
     RangePreservationError,
     SolverConfig,
     StepRecord,
-    StepStats,
     default_model,
     euler_lagrange_residual,
     null_hypothesis,
@@ -74,7 +73,6 @@ __all__ = [
     "ShapeMask",
     "SolverConfig",
     "StepRecord",
-    "StepStats",
     "apply_operator",
     "build_canyon",
     "cg_solve",

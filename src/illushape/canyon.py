@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, GridGeometry, gradient_magnitude
+from .grid import GridField, GridMask, gradient_magnitude, heat_step, rim_any
 
 __all__ = [
     "ConfigurationMask",
@@ -33,32 +33,16 @@ class NoBoundaryError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ConfigurationMask:
+class ConfigurationMask(GridMask):
     """Binary indicator of the inducer configuration on the pixel grid."""
-
-    geometry: GridGeometry
-    inside: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.inside, dtype=bool)
-        if m.shape != self.geometry.shape:
-            raise ValueError(
-                f"mask shape {m.shape} does not match grid shape {self.geometry.shape}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "inside", m)
 
     def touches_boundary(self) -> bool:
         """True when any inducer cell lies on the domain rim."""
-        m = self.inside
-        return bool(m[0, :].any() or m[-1, :].any() or m[:, 0].any() or m[:, -1].any())
+        return rim_any(self.inside)
 
     def indicator(self) -> np.ndarray:
         """The mask as a writable 0/1 float array."""
         return self.inside.astype(float)
-
-    def count(self) -> int:
-        return int(self.inside.sum())
 
 
 @dataclass(frozen=True)
@@ -94,26 +78,16 @@ class CanyonParams:
 
 
 @dataclass(frozen=True, eq=False)
-class CanyonField:
+class CanyonField(GridField):
     """Weight field with floor ``alpha`` and ceiling ``alpha + beta``."""
 
-    geometry: GridGeometry
-    values: np.ndarray
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.geometry.shape:
-            raise ValueError(
-                f"values shape {v.shape} does not match grid shape {self.geometry.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("canyon field has non-finite entries")
-        if v.min() < self.alpha or v.max() > self.alpha + self.beta:
+        super().__post_init__()
+        if self.values.min() < self.alpha or self.values.max() > self.alpha + self.beta:
             raise ValueError("canyon values leave [alpha, alpha + beta]")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def mollify(mask: ConfigurationMask, sigma: float) -> GridField:
@@ -133,10 +107,7 @@ def mollify(mask: ConfigurationMask, sigma: float) -> GridField:
         n_steps = max(1, math.ceil(total / (0.25 * h2)))
         r = (total / n_steps) / h2
         for _ in range(n_steps):
-            p = np.pad(u, 1, mode="edge")
-            u = u + r * (
-                p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * u
-            )
+            u = heat_step(u, r, "edge")
         u = np.clip(u, 0.0, 1.0)
     return GridField(geom, u)
 

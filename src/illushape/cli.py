@@ -79,6 +79,12 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 def read_pgm(path) -> tuple[int, int, np.ndarray]:
     """Read an 8-bit PGM (plain P2 or raw P5); returns (width, height, pixels)."""
+    width, height, _, pixels = _read_graymap(path)
+    return width, height, pixels
+
+
+def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
+    """``read_pgm`` plus the header's maxval."""
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
@@ -95,6 +101,8 @@ def read_pgm(path) -> tuple[int, int, np.ndarray]:
         if len(raster) < n:
             raise PgmFormatError("truncated P5 raster")
         pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        if pixels.max() > maxval:
+            raise PgmFormatError(f"P5 sample {pixels.max()} outside [0, {maxval}]")
     else:
         values = []
         for _ in range(n):
@@ -107,7 +115,7 @@ def read_pgm(path) -> tuple[int, int, np.ndarray]:
                 raise PgmFormatError(f"P2 sample {v} outside [0, {maxval}]")
             values.append(v)
         pixels = np.array(values, dtype=np.uint8).reshape(height, width)
-    return width, height, pixels
+    return width, height, maxval, pixels
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
@@ -122,12 +130,14 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 def load_mask(path, invert: bool = False, bin_threshold: int = 128) -> ConfigurationMask:
     """Binarize a graymap into an inducer mask.
 
-    Dark pixels (luminance below ``bin_threshold``) are inducers; ``invert``
-    flips the rule.  Masks with no inducers or with inducers on the image
-    border are rejected.
+    Dark pixels (luminance below ``bin_threshold`` on the 0..255 scale, i.e.
+    ``sample * 255 < bin_threshold * maxval``) are inducers; ``invert`` flips
+    the rule.  Masks with no inducers or with inducers on the image border
+    are rejected.
     """
-    width, height, pixels = read_pgm(path)
-    inside = pixels < bin_threshold
+    width, height, maxval, pixels = _read_graymap(path)
+    # exact integer comparison; for maxval 255 this is sample < bin_threshold
+    inside = pixels.astype(np.int64) * 255 < bin_threshold * maxval
     if invert:
         inside = ~inside
     mask = ConfigurationMask(GridGeometry(width, height), inside)
@@ -193,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--presmooth", type=int, default=0, help="heat steps applied to the initial guess")
     parser.add_argument("--snapshot-every", type=int, default=0, help="write snap_NNNNNN.pgm every N iterations")
     parser.add_argument("--invert", action="store_true", help="treat light pixels as inducers")
-    parser.add_argument("--bin-threshold", type=int, default=128, help="binarization luminance threshold")
+    parser.add_argument("--bin-threshold", type=int, default=128, help="binarization luminance threshold on the 0-255 scale")
     return parser
 
 

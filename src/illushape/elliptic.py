@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ModelParams, surrogate_target
-from .grid import GridField, face_means
+from .energy import ModelParams, _check_field, _surrogate_cell
+from .grid import GridField, face_means, zero_rim
 
 __all__ = [
     "LinearizedData",
@@ -77,15 +77,9 @@ class CgConvergenceError(RuntimeError):
 
 def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     """Coefficients of the inner linear problem frozen at iterate z_n."""
-    if z_n.geometry != p.geometry:
-        raise ValueError("iterate does not match the model grid")
-    zn = z_n.values
-    G = p.canyon.values
-    chi = p.mask.indicator()
-    weight = 1.0 + 2.0 * np.square(zn)
-    g = G * weight + p.lam * chi
-    f = 3.0 * G * np.square(zn)
-    gamma = surrogate_target(zn)
+    weight, gamma = _surrogate_cell(z_n, p)
+    g = weight + p.lam * p.mask.indicator()
+    f = 3.0 * p.canyon.values * np.square(z_n.values)
     geom = z_n.geometry
     return LinearizedData(GridField(geom, g), GridField(geom, f), GridField(geom, gamma))
 
@@ -94,13 +88,6 @@ def _face_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     scale = (p.epsilon / p.geometry.h) ** 2
     gx, gy = face_means(p.canyon.values)
     return scale * gx, scale * gy
-
-
-def _zero_rim(a: np.ndarray) -> None:
-    a[0, :] = 0.0
-    a[-1, :] = 0.0
-    a[:, 0] = 0.0
-    a[:, -1] = 0.0
 
 
 def _apply_raw(z: np.ndarray, cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -112,8 +99,7 @@ def _apply_raw(z: np.ndarray, cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> 
     out[:, 1:] += fx
     out[:-1, :] -= fy
     out[1:, :] += fy
-    _zero_rim(out)
-    return out
+    return zero_rim(out)
 
 
 def _diagonal(cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -131,11 +117,9 @@ def apply_operator(z: GridField, data: LinearizedData, p: ModelParams) -> GridFi
     Boundary entries of the argument are treated as Dirichlet zeros and the
     result is zero on the rim.
     """
-    if z.geometry != p.geometry:
-        raise ValueError("field does not match the model grid")
+    _check_field(z, p)
     cx, cy = _face_coefficients(p)
-    zi = z.values.copy()
-    _zero_rim(zi)
+    zi = zero_rim(z.values.copy())
     return GridField(z.geometry, _apply_raw(zi, cx, cy, data.g_n.values))
 
 
@@ -154,8 +138,7 @@ def cg_solve(
     geom = data.f_n.geometry
     cx, cy = _face_coefficients(p)
     g = data.g_n.values
-    f = data.f_n.values.copy()
-    _zero_rim(f)
+    f = zero_rim(data.f_n.values.copy())
     f_norm = float(np.linalg.norm(f.ravel()))
     if f_norm == 0.0:
         return GridField.zeros(geom), CgStats(0, 0.0)
@@ -165,8 +148,7 @@ def cg_solve(
     else:
         if warm_start.geometry != geom:
             raise ValueError("warm start does not match the grid")
-        x = warm_start.values.copy()
-        _zero_rim(x)
+        x = zero_rim(warm_start.values.copy())
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     minv = np.zeros(geom.shape)

@@ -11,12 +11,13 @@ exactly, not merely in the continuum limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canyon import CanyonField, ConfigurationMask
-from .grid import GridField, face_diffs, face_means
+from .grid import GridField, face_diffs, face_means, rim_any
 
 __all__ = [
     "PhaseField",
@@ -37,8 +38,7 @@ class PhaseField(GridField):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        v = self.values
-        if v[0, :].any() or v[-1, :].any() or v[:, 0].any() or v[:, -1].any():
+        if rim_any(self.values):
             raise ValueError("phase field must vanish on the boundary ring")
 
 
@@ -60,8 +60,8 @@ class ModelParams:
             raise ValueError(
                 f"epsilon must lie in [h, {hi:g}] = [{h:g}, {hi:g}], got {self.epsilon:g}"
             )
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
     @property
     def geometry(self):
@@ -88,44 +88,53 @@ def _check_field(z: GridField, p: ModelParams) -> None:
         raise ValueError("field does not match the model grid")
 
 
+def _face_form(a: np.ndarray, b: np.ndarray, p: ModelParams) -> float:
+    """Face sum of G_face * da * db, the stencil shared with the elliptic operator.
+
+    Note (dz/h)^2 h^2 = dz^2, so face sums need no explicit h factors.
+    """
+    dax, day = face_diffs(a)
+    dbx, dby = (dax, day) if b is a else face_diffs(b)
+    gx, gy = face_means(p.canyon.values)
+    return float(np.sum(gx * dax * dbx)) + float(np.sum(gy * day * dby))
+
+
 def total_energy(z: PhaseField, p: ModelParams) -> float:
     """Discrete total energy of a zero-trace phase field.
 
     Face-gradient term (epsilon/2) G |grad z|^2, cell double-well term
     G Phi(z) / (2 epsilon), and confinement lam chi z^2 / (2 epsilon), all
-    under midpoint quadrature.  Note (dz/h)^2 h^2 = dz^2, so face sums need
-    no explicit h factors.
+    under midpoint quadrature.
     """
     _check_field(z, p)
     zv = z.values
-    G = p.canyon.values
     h = p.geometry.h
-    eps = p.epsilon
-    dzx, dzy = face_diffs(zv)
-    gx, gy = face_means(G)
-    grad = 0.5 * eps * (float(np.sum(gx * dzx * dzx)) + float(np.sum(gy * dzy * dzy)))
-    cell_scale = h * h / (2.0 * eps)
-    well = cell_scale * float(np.sum(G * double_well(zv)))
+    grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
+    cell_scale = h * h / (2.0 * p.epsilon)
+    well = cell_scale * float(np.sum(p.canyon.values * double_well(zv)))
     pin = p.lam * cell_scale * float(np.sum(p.mask.indicator() * zv * zv))
     return grad + well + pin
+
+
+def _surrogate_cell(z_n: PhaseField, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weight G (1 + 2 z_n^2) and target of the surrogate frozen at z_n.
+
+    The linearized operator is assembled from the same pair.
+    """
+    _check_field(z_n, p)
+    zn = z_n.values
+    return p.canyon.values * (1.0 + 2.0 * np.square(zn)), surrogate_target(zn)
 
 
 def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     """Strictly convex quadratic majorant of the total energy at iterate z_n."""
     _check_field(z, p)
-    _check_field(z_n, p)
     zv = z.values
-    zn = z_n.values
-    G = p.canyon.values
     h = p.geometry.h
-    eps = p.epsilon
-    dzx, dzy = face_diffs(zv)
-    gx, gy = face_means(G)
-    grad = 0.5 * eps * (float(np.sum(gx * dzx * dzx)) + float(np.sum(gy * dzy * dzy)))
-    weight = 1.0 + 2.0 * np.square(zn)
-    target = surrogate_target(zn)
-    cell_scale = h * h / (2.0 * eps)
-    cell = cell_scale * float(np.sum(G * weight * np.square(zv - target)))
+    weight, target = _surrogate_cell(z_n, p)
+    grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
+    cell_scale = h * h / (2.0 * p.epsilon)
+    cell = cell_scale * float(np.sum(weight * np.square(zv - target)))
     pin = p.lam * cell_scale * float(np.sum(p.mask.indicator() * zv * zv))
     return grad + cell + pin
 
@@ -138,21 +147,13 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     """
     _check_field(z, p)
     _check_field(u, p)
-    _check_field(z_n, p)
     zv = z.values
     uv = u.values
-    zn = z_n.values
-    G = p.canyon.values
     h = p.geometry.h
-    eps = p.epsilon
-    dzx, dzy = face_diffs(zv)
-    dux, duy = face_diffs(uv)
-    gx, gy = face_means(G)
-    grad = eps * (float(np.sum(gx * dzx * dux)) + float(np.sum(gy * dzy * duy)))
-    weight = 1.0 + 2.0 * np.square(zn)
-    target = surrogate_target(zn)
-    cell_scale = h * h / eps
-    cell = cell_scale * float(np.sum(G * weight * (zv - target) * uv))
+    weight, target = _surrogate_cell(z_n, p)
+    grad = p.epsilon * _face_form(zv, uv, p)
+    cell_scale = h * h / p.epsilon
+    cell = cell_scale * float(np.sum(weight * (zv - target) * uv))
     pin = p.lam * cell_scale * float(np.sum(p.mask.indicator() * zv * uv))
     return grad + cell + pin
 

@@ -9,6 +9,10 @@ import numpy as np
 __all__ = [
     "GridGeometry",
     "GridField",
+    "GridMask",
+    "zero_rim",
+    "rim_any",
+    "heat_step",
     "gradient_magnitude",
     "rms_diff",
     "quadrature_sum",
@@ -43,6 +47,15 @@ class GridGeometry:
         return self.width * self.height
 
 
+def _read_only_copy(values, geometry: GridGeometry, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``, checked against the grid shape."""
+    a = np.array(values, dtype=dtype)
+    if a.shape != geometry.shape:
+        raise ValueError(f"array shape {a.shape} does not match grid shape {geometry.shape}")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GridField:
     """Immutable scalar field sampled at cell centers, stored row-major.
@@ -55,14 +68,9 @@ class GridField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        if v.shape != self.geometry.shape:
-            raise ValueError(
-                f"values shape {v.shape} does not match grid shape {self.geometry.shape}"
-            )
+        v = _read_only_copy(self.values, self.geometry, float)
         if not np.isfinite(v).all():
             raise ValueError("field has non-finite entries")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -72,6 +80,40 @@ class GridField:
     @classmethod
     def full(cls, geometry: GridGeometry, value: float):
         return cls(geometry, np.full(geometry.shape, float(value)))
+
+
+@dataclass(frozen=True, eq=False)
+class GridMask:
+    """Immutable boolean cell mask on the pixel grid."""
+
+    geometry: GridGeometry
+    inside: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "inside", _read_only_copy(self.inside, self.geometry, bool))
+
+    def count(self) -> int:
+        return int(self.inside.sum())
+
+
+def zero_rim(a: np.ndarray) -> np.ndarray:
+    """Zero the boundary ring of ``a`` in place; returns ``a``."""
+    a[0, :] = 0
+    a[-1, :] = 0
+    a[:, 0] = 0
+    a[:, -1] = 0
+    return a
+
+
+def rim_any(a: np.ndarray) -> bool:
+    """True when any cell on the boundary ring of ``a`` is nonzero."""
+    return bool(a[0, :].any() or a[-1, :].any() or a[:, 0].any() or a[:, -1].any())
+
+
+def heat_step(u: np.ndarray, r: float, mode: str) -> np.ndarray:
+    """One explicit heat step u + r (N + S + E + W - 4u) with ``np.pad`` boundary ``mode``."""
+    p = np.pad(u, 1, mode=mode)
+    return u + r * (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * u)
 
 
 def require_same_geometry(a: GridField, b: GridField) -> None:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, GridGeometry
+from .grid import GridField, GridMask
 
 __all__ = [
     "ShapeMask",
@@ -19,24 +18,10 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ShapeMask:
+class ShapeMask(GridMask):
     """Cells whose phase value strictly exceeds the threshold."""
 
-    geometry: GridGeometry
-    inside: np.ndarray
     threshold: float
-
-    def __post_init__(self) -> None:
-        m = np.array(self.inside, dtype=bool)
-        if m.shape != self.geometry.shape:
-            raise ValueError(
-                f"mask shape {m.shape} does not match grid shape {self.geometry.shape}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "inside", m)
-
-    def count(self) -> int:
-        return int(self.inside.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,43 +48,34 @@ def connected_components(mask: ShapeMask) -> ComponentSet:
     so the labeling is deterministic.  Centroids are mean (row, col) cell
     indices.
     """
-    inside = mask.inside
-    rows, cols = inside.shape
-    labels = np.zeros(inside.shape, dtype=int)
+    rows, cols = mask.inside.shape
+    stride = cols + 2
+    # Flat list over the mask padded by one empty cell: neighbours of k are
+    # k +- 1 and k +- stride with no bounds checks.  Cells are cleared as
+    # they are queued, so ``todo`` also marks what is still unlabeled.
+    todo = np.pad(mask.inside, 1).ravel().tolist()
+    labels = np.zeros((rows + 2) * stride, dtype=int)
     areas: list[int] = []
     centroids: list[tuple[float, float]] = []
-    count = 0
-    for i0 in range(rows):
-        for j0 in range(cols):
-            if not inside[i0, j0] or labels[i0, j0]:
-                continue
-            count += 1
-            area = 0
-            row_sum = 0
-            col_sum = 0
-            queue = deque([(i0, j0)])
-            labels[i0, j0] = count
-            while queue:
-                i, j = queue.popleft()
-                area += 1
-                row_sum += i
-                col_sum += j
-                if i > 0 and inside[i - 1, j] and not labels[i - 1, j]:
-                    labels[i - 1, j] = count
-                    queue.append((i - 1, j))
-                if i + 1 < rows and inside[i + 1, j] and not labels[i + 1, j]:
-                    labels[i + 1, j] = count
-                    queue.append((i + 1, j))
-                if j > 0 and inside[i, j - 1] and not labels[i, j - 1]:
-                    labels[i, j - 1] = count
-                    queue.append((i, j - 1))
-                if j + 1 < cols and inside[i, j + 1] and not labels[i, j + 1]:
-                    labels[i, j + 1] = count
-                    queue.append((i, j + 1))
-            areas.append(area)
-            centroids.append((row_sum / area, col_sum / area))
+    for k0, unlabeled in enumerate(todo):
+        if not unlabeled:
+            continue
+        todo[k0] = False
+        queue = [k0]
+        for k in queue:
+            for n in (k - stride, k + stride, k - 1, k + 1):
+                if todo[n]:
+                    todo[n] = False
+                    queue.append(n)
+        area = len(queue)
+        labels[queue] = len(areas) + 1
+        row_sum = sum(k // stride for k in queue) - area
+        col_sum = sum(k % stride for k in queue) - area
+        areas.append(area)
+        centroids.append((row_sum / area, col_sum / area))
+    labels = labels.reshape(rows + 2, stride)[1:-1, 1:-1]
     labels.setflags(write=False)
-    return ComponentSet(count, labels, tuple(areas), tuple(centroids))
+    return ComponentSet(len(areas), labels, tuple(areas), tuple(centroids))
 
 
 def iou(a: ShapeMask, b: ShapeMask) -> float:

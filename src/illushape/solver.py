@@ -17,11 +17,10 @@ import numpy as np
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
 from .elliptic import CgParams, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
-from .grid import rms_diff
+from .grid import heat_step, rms_diff, zero_rim
 
 __all__ = [
     "SolverConfig",
-    "StepStats",
     "StepRecord",
     "IterationReport",
     "RangePreservationError",
@@ -48,38 +47,29 @@ class SolverConfig:
     snapshot_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.max_outer <= 0:
             raise ValueError("max_outer must be positive")
         if self.presmooth_steps < 0 or self.snapshot_every < 0:
             raise ValueError("step counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class StepStats:
-    """Inner-solver outcome of one outer step, before clamping."""
-
-    cg_iters: int
-    cg_residual: float
-    pre_clamp_min: float
-    pre_clamp_max: float
-
-
 @dataclass
 class StepRecord:
-    """One outer iteration.  ``rho`` and ``drop_bound`` compare this iterate
-    with its successor, so they stay NaN on the final record."""
+    """One outer iteration.  ``step`` sets the inner-solver outcome and the
+    pre-clamp range, ``run`` the rest.  ``rho`` and ``drop_bound`` compare
+    this iterate with its successor, so they stay NaN on the final record."""
 
-    index: int
-    energy: float
-    rho: float
-    rms_update: float
     cg_iters: int
     cg_residual: float
     pre_clamp_min: float
     pre_clamp_max: float
-    drop_bound: float
+    index: int = 0
+    energy: float = math.nan
+    rho: float = math.nan
+    rms_update: float = math.nan
+    drop_bound: float = math.nan
 
 
 @dataclass
@@ -90,9 +80,6 @@ class IterationReport:
 
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.steps])
-
-    def rhos(self) -> np.ndarray:
-        return np.array([s.rho for s in self.steps])
 
 
 def default_model(
@@ -132,12 +119,7 @@ def null_hypothesis(mask: ConfigurationMask) -> PhaseField:
 
     The domain rim is forced to zero so the guess has a zero trace.
     """
-    values = 1.0 - mask.indicator()
-    values[0, :] = 0.0
-    values[-1, :] = 0.0
-    values[:, 0] = 0.0
-    values[:, -1] = 0.0
-    return PhaseField(mask.geometry, values)
+    return PhaseField(mask.geometry, zero_rim(1.0 - mask.indicator()))
 
 
 def presmooth(z0: PhaseField, steps: int) -> PhaseField:
@@ -148,14 +130,12 @@ def presmooth(z0: PhaseField, steps: int) -> PhaseField:
         return z0
     u = z0.values.copy()
     for _ in range(steps):
-        lap = (
-            u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]
-        )
-        u[1:-1, 1:-1] += 0.25 * lap
+        # zero padding of the interior reproduces the rim, which a PhaseField pins at zero
+        u[1:-1, 1:-1] = heat_step(u[1:-1, 1:-1], 0.25, "constant")
     return PhaseField(z0.geometry, u)
 
 
-def step(z_n: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepStats]:
+def step(z_n: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepRecord]:
     """One outer update: linearize at z_n, solve, clamp to [0, 1].
 
     The exact inner solution of an iterate in [0, 1] stays in [0, 1]; the
@@ -176,8 +156,8 @@ def step(z_n: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepStats]:
             f"= {10.0 * cfg.cg.rel_tol:.3e}"
         )
     clamped = np.clip(solution.values, 0.0, 1.0)
-    stats = StepStats(cg_stats.iterations, cg_stats.residual, pre_min, pre_max)
-    return PhaseField(z_n.geometry, clamped), stats
+    record = StepRecord(cg_stats.iterations, cg_stats.residual, pre_min, pre_max)
+    return PhaseField(z_n.geometry, clamped), record
 
 
 def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
@@ -210,30 +190,19 @@ def run(
 
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
-        z_next, stats = step(z, cfg)
-        energy = total_energy(z_next, cfg.model)
-        update = rms_diff(z_next, z)
+        z_next, record = step(z, cfg)
+        record.index = n
+        record.energy = total_energy(z_next, cfg.model)
+        record.rms_update = rms_diff(z_next, z)
         if report.steps:
             prev = report.steps[-1]
-            prev.rho = prev.energy - energy
+            prev.rho = prev.energy - record.energy
             prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
-        report.steps.append(
-            StepRecord(
-                index=n,
-                energy=energy,
-                rho=math.nan,
-                rms_update=update,
-                cg_iters=stats.cg_iters,
-                cg_residual=stats.cg_residual,
-                pre_clamp_min=stats.pre_clamp_min,
-                pre_clamp_max=stats.pre_clamp_max,
-                drop_bound=math.nan,
-            )
-        )
+        report.steps.append(record)
         z = z_next
         if snapshot_sink is not None and cfg.snapshot_every and n % cfg.snapshot_every == 0:
             snapshot_sink(n, z)
-        if update <= cfg.delta:
+        if record.rms_update <= cfg.delta:
             report.status = "converged"
             break
     report.el_residual = euler_lagrange_residual(z, cfg.model)

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illushape import GridField, GridGeometry
+from illushape.grid import rim_any
 from illushape.cli import (
     BoundaryContactError,
     EmptyConfigurationError,
@@ -51,6 +54,10 @@ def test_rejects_non_pgm_and_wide_samples(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(PgmFormatError):
         read_pgm(short)
+    above_maxval = tmp_path / "above.pgm"
+    above_maxval.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 200, 0, 0]))
+    with pytest.raises(PgmFormatError):
+        read_pgm(above_maxval)
 
 
 def test_load_mask_counts_dark_pixels(tmp_path):
@@ -62,6 +69,12 @@ def test_load_mask_counts_dark_pixels(tmp_path):
     # independent count straight from the pixel array we wrote
     assert loaded.count() == int(np.sum(pixels < 128))
     assert np.array_equal(loaded.inside, mask.inside)
+    # the threshold is on the 0..255 scale whatever the maxval: 0 is dark, maxval light
+    binary = tmp_path / "binary.pgm"
+    samples = (~mask.inside).astype(int)
+    rows = "\n".join(" ".join(map(str, row)) for row in samples)
+    binary.write_text(f"P2\n64 64\n1\n{rows}\n", encoding="ascii")
+    assert np.array_equal(load_mask(binary).inside, mask.inside)
 
 
 def test_load_mask_invert_hits_border(tmp_path):
@@ -120,6 +133,9 @@ def test_run_command_rejects_bad_flags(tmp_path):
     out = tmp_path / "out"
     base = ["--input", str(path), "--out-dir", str(out)]
     assert run_command(base + ["--delta", "-1"]) == 1
+    assert run_command(base + ["--delta", "nan"]) == 1
+    assert run_command(base + ["--lambda", "nan"]) == 1
+    assert run_command(base + ["--lambda", "inf"]) == 1
     assert run_command(base + ["--threshold", "1.5"]) == 1
     assert run_command(base + ["--epsilon-factor", "0.1"]) == 1
     assert run_command(base + ["--unknown-flag"]) == 1
@@ -200,3 +216,85 @@ def test_fixture_writer_cli(tmp_path):
     w, h, pixels = read_pgm(path)
     assert (w, h) == (64, 64)
     assert np.any(pixels == 0)
+
+
+_SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", "  \n "])
+_COMMENTS = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+
+
+@st.composite
+def _separators(draw) -> str:
+    """Whitespace between tokens, optionally with a comment line."""
+    sep = draw(_SEPARATORS)
+    if draw(st.booleans()):
+        sep += "#" + draw(_COMMENTS) + "\n" + draw(st.sampled_from(["", " "]))
+    return sep
+
+
+@st.composite
+def _graymaps(draw) -> tuple[bytes, np.ndarray, int]:
+    """A valid P2 or P5 file, its samples and its maxval."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    maxval = draw(st.integers(1, 255))
+    samples = np.array(
+        draw(st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height)),
+        dtype=np.uint8,
+    ).reshape(height, width)
+    if draw(st.booleans()):  # light frame, so the inducers may clear the border
+        samples[[0, -1], :] = samples[:, [0, -1]] = maxval
+    plain = draw(st.booleans())
+    header = "P2" if plain else "P5"
+    for value in (width, height, maxval):
+        header += draw(_separators()) + str(value)
+    if plain:
+        body = "".join(draw(_separators()) + str(v) for v in samples.ravel())
+        data = (header + body + draw(st.sampled_from(["", "\n"]))).encode()
+    else:  # exactly one whitespace byte ends a raw header
+        data = (header + draw(st.sampled_from(" \t\r\n"))).encode() + samples.tobytes()
+    return data, samples, maxval
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graymap=_graymaps(),
+    cut=st.none() | st.integers(0, 400),
+    edits=_EDITS,
+    threshold=st.integers(-1, 300),
+)
+def test_pgm_reader_fuzz(tmp_path_factory, graymap, cut, edits, threshold):
+    """Valid files round-trip; a truncated or overwritten file fails only with a documented error."""
+    data, samples, maxval = graymap
+    valid = cut is None and not edits
+    raw = bytearray(data[:cut])
+    for i, value in edits:
+        if i < len(raw):
+            raw[i] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(bytes(raw))
+    try:
+        width, height, pixels = read_pgm(path)
+    except PgmFormatError:
+        assert not valid
+        return
+    if valid:
+        assert (width, height) == (samples.shape[1], samples.shape[0])
+        assert np.array_equal(pixels, samples)
+    expected = samples.astype(int) * 255 < threshold * maxval if valid else None
+    try:
+        mask = load_mask(path, bin_threshold=threshold)
+    except EmptyConfigurationError:
+        assert expected is None or not expected.any()
+        return
+    except BoundaryContactError:
+        assert expected is None or rim_any(expected)
+        return
+    except PgmFormatError:
+        raise AssertionError("read_pgm accepted what load_mask rejects") from None
+    except ValueError as exc:  # GridGeometry: fewer than 3 cells across
+        assert min(width, height) < 3, exc
+        return
+    if expected is not None:
+        assert np.array_equal(mask.inside, expected)

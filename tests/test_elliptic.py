@@ -11,10 +11,11 @@ from illushape import (
     cg_solve,
     dense_matrix,
     dense_solve_oracle,
+    first_variation,
     linearize,
 )
 
-from helpers import flat_model, random_instance
+from helpers import flat_model, random_instance, random_model, random_phase
 
 
 def zero_rim_field(geom, rng, lo=-1.0, hi=1.0):
@@ -112,6 +113,20 @@ def test_operator_matches_dirichlet_laplacian_eigenpair():
     expected = (p.epsilon**2 * lam + c) * v
     got = apply_operator(GridField(geom, v), data, p).values
     assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+def test_operator_is_gradient_of_surrogate():
+    # J[z, u | z_n] = h^2/eps <u, A z - f_n>: energy and operator share one face form
+    rng = np.random.default_rng(43)
+    for geom in (GridGeometry(9, 7), GridGeometry(16, 16)):
+        for _ in range(5):
+            p = random_model(geom, rng)
+            z, z_n = random_phase(geom, rng), random_phase(geom, rng)
+            u = random_phase(geom, rng, lo=-1.0, hi=1.0)
+            data = linearize(z_n, p)
+            residual = apply_operator(z, data, p).values - data.f_n.values
+            expected = geom.h**2 / p.epsilon * float(np.sum(u.values * residual))
+            assert first_variation(z, u, z_n, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_operator_positive_definite():

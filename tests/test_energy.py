@@ -100,6 +100,10 @@ def test_model_params_validation():
         flat_model(geom, epsilon=0.3)
     with pytest.raises(ValueError):
         flat_model(geom, lam=0.0)
+    with pytest.raises(ValueError):
+        flat_model(geom, lam=float("nan"))
+    with pytest.raises(ValueError):
+        flat_model(geom, lam=float("inf"))
 
 
 def test_total_energy_zero_field():
