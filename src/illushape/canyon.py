@@ -65,6 +65,9 @@ class CanyonParams:
     raw_gradient: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "alpha", "beta", "gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta < 0:

@@ -10,6 +10,7 @@ hold on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,31 +85,71 @@ def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     return LinearizedData(GridField(geom, g), GridField(geom, f), GridField(geom, gamma))
 
 
-def _face_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    scale = (p.epsilon / p.geometry.h) ** 2
-    gx, gy = face_means(p.canyon.values)
-    return scale * gx, scale * gy
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two flat arrays in numpy's own single-threaded loop.
+
+    BLAS stays off the solve path: a threaded BLAS dot splits the sum by its
+    thread count, so its rounding would depend on the machine.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
-def _apply_raw(z: np.ndarray, cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """A z for a zero-rim array z; the output rim is zeroed as well."""
-    fx = cx * (z[:, 1:] - z[:, :-1])
-    fy = cy * (z[1:, :] - z[:-1, :])
-    out = g * z
-    out[:, :-1] -= fx
-    out[:, 1:] += fx
-    out[:-1, :] -= fy
-    out[1:, :] += fy
-    return zero_rim(out)
+class Operator:
+    """Scaled face coefficients (eps/h)^2 G_face of one model and its 5-point kernel.
 
+    Fields are handled flattened row-major: cell k couples to cell k + 1
+    through x-face k and to cell k + W through y-face k, so the x-faces have
+    N - 1 entries and the y-faces N - W.  The x-face entries at k = W - 1
+    (mod W) wrap from the last cell of one row to the first of the next;
+    both are rim cells, the coefficient there is zero, and the rim of every
+    argument is zero anyway.  Built once per model, on its first solve.
+    """
 
-def _diagonal(cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> np.ndarray:
-    d = g.copy()
-    d[:, :-1] += cx
-    d[:, 1:] += cx
-    d[:-1, :] += cy
-    d[1:, :] += cy
-    return d
+    def __init__(self, p: ModelParams):
+        geom = p.geometry
+        self.shape = geom.shape
+        self.width = geom.width
+        scale = (p.epsilon / geom.h) ** 2
+        gx, gy = face_means(p.canyon.values)
+        gx *= scale
+        gy *= scale
+        cx = np.zeros(geom.cells)
+        cx.reshape(geom.shape)[:, :-1] = gx
+        self.cx = cx[:-1]
+        self.cy = gy.ravel()
+        # 2-D views shaped (H, W-1) and (H-1, W) like ``face_means``
+        self.cx2d = cx.reshape(geom.shape)[:, :-1]
+        self.cy2d = gy
+
+    def apply(self, z: np.ndarray, g: np.ndarray, out: np.ndarray, face: np.ndarray) -> None:
+        """``out = A z`` for a flat zero-rim ``z``; ``face`` is scratch of length N - 1.
+
+        The output rim is zeroed.  Each cell takes its reaction term, then
+        its east, west, south and north fluxes, the order of the 2-D flux
+        form, so the two agree bit for bit.
+        """
+        w = self.width
+        np.multiply(g, z, out=out)
+        fx = face
+        np.subtract(z[1:], z[:-1], out=fx)
+        fx *= self.cx
+        out[:-1] -= fx
+        out[1:] += fx
+        fy = face[: len(self.cy)]
+        np.subtract(z[w:], z[:-w], out=fy)
+        fy *= self.cy
+        out[:-w] -= fy
+        out[w:] += fy
+        zero_rim(out.reshape(self.shape))
+
+    def diagonal(self, g: np.ndarray, out: np.ndarray) -> None:
+        """Flat diagonal of the operator with reaction coefficient ``g``, into ``out``."""
+        w = self.width
+        np.copyto(out, g)
+        out[:-1] += self.cx
+        out[1:] += self.cx
+        out[:-w] += self.cy
+        out[w:] += self.cy
 
 
 def apply_operator(z: GridField, data: LinearizedData, p: ModelParams) -> GridField:
@@ -118,9 +159,11 @@ def apply_operator(z: GridField, data: LinearizedData, p: ModelParams) -> GridFi
     result is zero on the rim.
     """
     _check_field(z, p)
-    cx, cy = _face_coefficients(p)
-    zi = zero_rim(z.values.copy())
-    return GridField(z.geometry, _apply_raw(zi, cx, cy, data.g_n.values))
+    n = z.geometry.cells
+    out = np.empty(n)
+    zi = zero_rim(z.values.copy()).ravel()
+    p.operator.apply(zi, data.g_n.values.ravel(), out, np.empty(n - 1))
+    return GridField(z.geometry, out.reshape(z.geometry.shape))
 
 
 def cg_solve(
@@ -132,51 +175,60 @@ def cg_solve(
     """Jacobi-preconditioned conjugate gradient solve of A z = f_n.
 
     Stops when the relative residual drops to ``rel_tol``; a zero right-hand
-    side short-circuits to the zero field.  All reductions run in a fixed
-    order, so repeated solves are bit-identical.
+    side short-circuits to the zero field.  The loop works in place on flat
+    buffers allocated once per solve, and every reduction is ``_dot``, so
+    repeated solves are bit-identical whatever the BLAS thread count.
     """
     geom = data.f_n.geometry
-    cx, cy = _face_coefficients(p)
-    g = data.g_n.values
-    f = zero_rim(data.f_n.values.copy())
-    f_norm = float(np.linalg.norm(f.ravel()))
+    n = geom.cells
+    op = p.operator
+    g = data.g_n.values.ravel()
+    f = zero_rim(data.f_n.values.copy()).ravel()
+    f_norm = math.sqrt(_dot(f, f))
     if f_norm == 0.0:
         return GridField.zeros(geom), CgStats(0, 0.0)
 
     if warm_start is None:
-        x = np.zeros(geom.shape)
+        x = np.zeros(n)
     else:
         if warm_start.geometry != geom:
             raise ValueError("warm start does not match the grid")
-        x = zero_rim(warm_start.values.copy())
+        x = zero_rim(warm_start.values.copy()).ravel()
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
-    minv = np.zeros(geom.shape)
-    diag = _diagonal(cx, cy, g)
-    minv[1:-1, 1:-1] = 1.0 / diag[1:-1, 1:-1]
+    r, z, d, ad = (np.empty(n) for _ in range(4))
+    face = np.empty(n - 1)
+    minv = np.zeros(n)
+    op.diagonal(g, out=ad)
+    interior = (slice(1, -1), slice(1, -1))
+    np.divide(1.0, ad.reshape(geom.shape)[interior], out=minv.reshape(geom.shape)[interior])
 
-    r = f - _apply_raw(x, cx, cy, g)
-    r_norm = float(np.linalg.norm(r.ravel()))
+    op.apply(x, g, ad, face)
+    np.subtract(f, ad, out=r)
+    r_norm = math.sqrt(_dot(r, r))
     if r_norm <= cg.rel_tol * f_norm:
-        return GridField(geom, x), CgStats(0, r_norm / f_norm)
+        return GridField(geom, x.reshape(geom.shape)), CgStats(0, r_norm / f_norm)
 
-    z = minv * r
-    d = z.copy()
-    rz = float(np.dot(r.ravel(), z.ravel()))
+    np.multiply(minv, r, out=z)
+    np.copyto(d, z)
+    rz = _dot(r, z)
     for k in range(1, max_iters + 1):
-        ad = _apply_raw(d, cx, cy, g)
-        dad = float(np.dot(d.ravel(), ad.ravel()))
-        alpha = rz / dad
-        x += alpha * d
-        r -= alpha * ad
-        r_norm = float(np.linalg.norm(r.ravel()))
+        op.apply(d, g, ad, face)
+        alpha = rz / _dot(d, ad)
+        # z is free until the preconditioner refills it: use it for the updates
+        np.multiply(d, alpha, out=z)
+        x += z
+        np.multiply(ad, alpha, out=z)
+        r -= z
+        r_norm = math.sqrt(_dot(r, r))
         if r_norm <= cg.rel_tol * f_norm:
-            return GridField(geom, x), CgStats(k, r_norm / f_norm)
-        z = minv * r
-        rz_next = float(np.dot(r.ravel(), z.ravel()))
-        d = z + (rz_next / rz) * d
+            return GridField(geom, x.reshape(geom.shape)), CgStats(k, r_norm / f_norm)
+        np.multiply(minv, r, out=z)
+        rz_next = _dot(r, z)
+        d *= rz_next / rz
+        d += z
         rz = rz_next
-    raise CgConvergenceError(GridField(geom, x), r_norm / f_norm, max_iters)
+    raise CgConvergenceError(GridField(geom, x.reshape(geom.shape)), r_norm / f_norm, max_iters)
 
 
 def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
@@ -190,8 +242,11 @@ def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
     n = rows * cols
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} interior unknowns")
-    cx, cy = _face_coefficients(p)
-    diag = _diagonal(cx, cy, data.g_n.values)
+    op = p.operator
+    cx, cy = op.cx2d, op.cy2d
+    diag = np.empty(geom.cells)
+    op.diagonal(data.g_n.values.ravel(), out=diag)
+    diag = diag.reshape(geom.shape)
 
     def idx(i: int, j: int) -> int:
         return (i - 1) * cols + (j - 1)

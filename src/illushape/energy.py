@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,13 @@ class ModelParams:
     @property
     def geometry(self):
         return self.canyon.geometry
+
+    @cached_property
+    def operator(self):
+        """The elliptic operator's face coefficients, built on the first solve."""
+        from .elliptic import Operator  # elliptic builds on this module
+
+        return Operator(self)
 
 
 def double_well(z):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from illushape import (
     CanyonField,
+    CgConvergenceError,
+    CgParams,
+    CgStats,
     ConfigurationMask,
     GridField,
     GridGeometry,
@@ -14,6 +19,8 @@ from illushape import (
     PhaseField,
     linearize,
 )
+from illushape.elliptic import _dot
+from illushape.grid import face_means, zero_rim
 
 
 def empty_mask(geom: GridGeometry) -> ConfigurationMask:
@@ -73,3 +80,80 @@ def random_instance(
     model = random_model(geom, rng)
     z_n = GridField(geom, rng.uniform(0.0, 1.0, size=geom.shape))
     return linearize(z_n, model), model
+
+
+def face_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(eps/h)^2 times the face means of the canyon, as 2-D x- and y-face arrays."""
+    scale = (p.epsilon / p.geometry.h) ** 2
+    gx, gy = face_means(p.canyon.values)
+    return scale * gx, scale * gy
+
+
+def flux_apply(z: np.ndarray, cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A z in the 2-D flux form for a zero-rim z; the output rim is zeroed as well."""
+    fx = cx * (z[:, 1:] - z[:, :-1])
+    fy = cy * (z[1:, :] - z[:-1, :])
+    out = g * z
+    out[:, :-1] -= fx
+    out[:, 1:] += fx
+    out[:-1, :] -= fy
+    out[1:, :] += fy
+    return zero_rim(out)
+
+
+def flux_diagonal(cx: np.ndarray, cy: np.ndarray, g: np.ndarray) -> np.ndarray:
+    d = g.copy()
+    d[:, :-1] += cx
+    d[:, 1:] += cx
+    d[:-1, :] += cy
+    d[1:, :] += cy
+    return d
+
+
+def textbook_pcg(
+    data: LinearizedData,
+    p: ModelParams,
+    cg: CgParams = CgParams(),
+    warm_start: GridField | None = None,
+) -> tuple[GridField, CgStats]:
+    """Jacobi-preconditioned CG as written in the textbooks, allocating on 2-D arrays.
+
+    The reference for ``cg_solve``: same stopping rule, same reductions, same
+    ``CgConvergenceError`` when the budget runs out.
+    """
+    geom = data.f_n.geometry
+    cx, cy = face_coefficients(p)
+    g = data.g_n.values
+
+    def dot(a, b):
+        return _dot(a.ravel(), b.ravel())
+
+    f = zero_rim(data.f_n.values.copy())
+    f_norm = math.sqrt(dot(f, f))
+    if f_norm == 0.0:
+        return GridField.zeros(geom), CgStats(0, 0.0)
+    x = np.zeros(geom.shape) if warm_start is None else zero_rim(warm_start.values.copy())
+    max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
+    minv = np.zeros(geom.shape)
+    minv[1:-1, 1:-1] = 1.0 / flux_diagonal(cx, cy, g)[1:-1, 1:-1]
+
+    r = f - flux_apply(x, cx, cy, g)
+    r_norm = math.sqrt(dot(r, r))
+    if r_norm <= cg.rel_tol * f_norm:
+        return GridField(geom, x), CgStats(0, r_norm / f_norm)
+    z = minv * r
+    d = z.copy()
+    rz = dot(r, z)
+    for k in range(1, max_iters + 1):
+        ad = flux_apply(d, cx, cy, g)
+        alpha = rz / dot(d, ad)
+        x = x + alpha * d
+        r = r - alpha * ad
+        r_norm = math.sqrt(dot(r, r))
+        if r_norm <= cg.rel_tol * f_norm:
+            return GridField(geom, x), CgStats(k, r_norm / f_norm)
+        z = minv * r
+        rz_next = dot(r, z)
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    raise CgConvergenceError(GridField(geom, x), r_norm / f_norm, max_iters)

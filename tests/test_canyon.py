@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,10 @@ def test_params_validation():
         CanyonParams(sigma=0.1, gain=0.0)
     with pytest.raises(ValueError):
         CanyonParams(sigma=0.1, g_kind="nope")
+    for name in ("sigma", "alpha", "beta", "gain"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CanyonParams(**{"sigma": 0.1, name: bad})
 
 
 def test_mask_geometry_checked():

@@ -136,6 +136,9 @@ def test_run_command_rejects_bad_flags(tmp_path):
     assert run_command(base + ["--delta", "nan"]) == 1
     assert run_command(base + ["--lambda", "nan"]) == 1
     assert run_command(base + ["--lambda", "inf"]) == 1
+    for flag in ("--sigma-factor", "--alpha", "--beta", "--gain"):
+        for bad in ("nan", "inf"):
+            assert run_command(base + [flag, bad]) == 1
     assert run_command(base + ["--threshold", "1.5"]) == 1
     assert run_command(base + ["--epsilon-factor", "0.1"]) == 1
     assert run_command(base + ["--unknown-flag"]) == 1

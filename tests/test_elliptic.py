@@ -15,7 +15,15 @@ from illushape import (
     linearize,
 )
 
-from helpers import flat_model, random_instance, random_model, random_phase
+from helpers import (
+    face_coefficients,
+    flux_apply,
+    flat_model,
+    random_instance,
+    random_model,
+    random_phase,
+    textbook_pcg,
+)
 
 
 def zero_rim_field(geom, rng, lo=-1.0, hi=1.0):
@@ -75,6 +83,50 @@ def test_operator_on_zero_field():
     data, p = random_instance(geom, rng)
     out = apply_operator(GridField.zeros(geom), data, p)
     assert np.all(out.values == 0.0)
+
+
+def test_flat_kernel_matches_flux_form_bitwise():
+    rng = np.random.default_rng(47)
+    for geom in (GridGeometry(4, 3), GridGeometry(12, 9), GridGeometry(7, 16), GridGeometry(33, 31)):
+        for _ in range(10):
+            data, p = random_instance(geom, rng)
+            z = zero_rim_field(geom, rng)
+            cx, cy = face_coefficients(p)
+            expected = flux_apply(z.values, cx, cy, data.g_n.values)
+            got = apply_operator(z, data, p).values
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_operator_built_once_per_model():
+    rng = np.random.default_rng(53)
+    geom = GridGeometry(10, 8)
+    data, p = random_instance(geom, rng)
+    assert "operator" not in vars(p)
+    cg_solve(data, p)
+    op = p.operator
+    apply_operator(zero_rim_field(geom, rng), data, p)
+    cg_solve(data, p)
+    assert p.operator is op
+
+
+def assert_same_solve(got, expected):
+    (x, stats), (x_ref, stats_ref) = got, expected
+    assert np.array_equal(x.values.view(np.uint64), x_ref.values.view(np.uint64))
+    assert stats == stats_ref
+
+
+def test_cg_matches_textbook_pcg_bitwise():
+    rng = np.random.default_rng(59)
+    for geom in (GridGeometry(16, 16), GridGeometry(21, 13)):
+        for _ in range(10):
+            data, p = random_instance(geom, rng)
+            cg = CgParams(rel_tol=float(rng.choice([1e-6, 1e-10])))
+            assert_same_solve(cg_solve(data, p, cg), textbook_pcg(data, p, cg))
+            warm = zero_rim_field(geom, rng, 0.0, 1.0)
+            assert_same_solve(
+                cg_solve(data, p, cg, warm_start=warm),
+                textbook_pcg(data, p, cg, warm_start=warm),
+            )
 
 
 def test_operator_symmetry():
@@ -194,12 +246,19 @@ def test_cg_residual_contract_on_random_instances():
 def test_cg_budget_exhaustion_raises_with_best_iterate():
     rng = np.random.default_rng(23)
     geom = GridGeometry(16, 16)
-    data, p = random_instance(geom, rng)
-    with pytest.raises(CgConvergenceError) as err:
-        cg_solve(data, p, CgParams(rel_tol=1e-12, max_iters=2))
-    assert err.value.iterations == 2
-    assert err.value.residual > 0.0
-    assert err.value.best.values.shape == geom.shape
+    for max_iters, warm in ((2, None), (1, zero_rim_field(geom, rng, 0.0, 1.0)), (7, None)):
+        data, p = random_instance(geom, rng)
+        cg = CgParams(rel_tol=1e-12, max_iters=max_iters)
+        with pytest.raises(CgConvergenceError) as err:
+            cg_solve(data, p, cg, warm_start=warm)
+        assert err.value.iterations == max_iters
+        assert err.value.residual > 0.0
+        assert err.value.best.values.shape == geom.shape
+        # the same iterate, bit for bit, as the textbook loop when it runs out
+        with pytest.raises(CgConvergenceError) as ref:
+            textbook_pcg(data, p, cg, warm_start=warm)
+        assert err.value.residual == ref.value.residual
+        assert np.array_equal(err.value.best.values.view(np.uint64), ref.value.best.values.view(np.uint64))
 
 
 def test_cg_params_validation():

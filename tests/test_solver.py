@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import illushape
 from illushape import (
     PhaseField,
     SolverConfig,
@@ -126,6 +131,31 @@ def test_run_is_deterministic(small_setup):
                 assert math.isnan(y)
             else:
                 assert x == y
+
+
+STEP_BYTES = """
+import hashlib
+from illushape import SolverConfig, default_model, null_hypothesis, step
+from illushape.fixtures import kanizsa_triangle
+mask = kanizsa_triangle(128, 128)
+z, _ = step(null_hypothesis(mask), SolverConfig(model=default_model(mask)))
+print(hashlib.sha256(z.values.tobytes()).hexdigest())
+"""
+
+
+def test_step_does_not_depend_on_blas_threads():
+    # a threaded BLAS dot splits its sum by thread count; the solve must not use one
+    src = str(Path(illushape.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", STEP_BYTES], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_run_from_zero_field_stops_immediately(small_setup):
