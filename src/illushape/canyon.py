@@ -53,8 +53,6 @@ class CanyonParams:
     scale in domain-length units, and ``gain`` scales the normalized edge
     strength fed to the decay function.  Salient canyons want
     ``beta >> alpha``; ``beta = 0`` is allowed and yields a flat field.
-    When ``raw_gradient`` is set the edge strength is not normalized by its
-    maximum, which reproduces a resolution-dependent response.
     """
 
     sigma: float
@@ -62,7 +60,6 @@ class CanyonParams:
     beta: float = 1.0
     g_kind: str = "exp_square"
     gain: float = 3.0
-    raw_gradient: bool = False
 
     def __post_init__(self) -> None:
         for name in ("sigma", "alpha", "beta", "gain"):
@@ -130,9 +127,9 @@ def edge_response(p, g_kind: str = "exp_square"):
 def build_canyon(mask: ConfigurationMask, params: CanyonParams) -> CanyonField:
     """Assemble the canyon weight from a configuration mask.
 
-    The smoothed indicator's gradient magnitude is normalized by its maximum
-    (unless ``raw_gradient``), scaled by ``gain``, passed through the decay,
-    and mapped to ``alpha + beta * g``.  Fails when the mask has no boundary.
+    The smoothed indicator's gradient magnitude is normalized by its maximum,
+    scaled by ``gain``, passed through the decay, and mapped to
+    ``alpha + beta * g``.  Fails when the mask has no boundary.
     """
     if not mask.inside.any() or mask.inside.all():
         raise NoBoundaryError("no configuration boundary")
@@ -143,9 +140,5 @@ def build_canyon(mask: ConfigurationMask, params: CanyonParams) -> CanyonField:
     peak = float(strength.max())
     if peak <= 0.0:
         raise NoBoundaryError("no configuration boundary")
-    if params.raw_gradient:
-        p = params.gain * strength
-    else:
-        p = params.gain * (strength / peak)
-    g = edge_response(p, params.g_kind)
+    g = edge_response(params.gain * (strength / peak), params.g_kind)
     return CanyonField(mask.geometry, params.alpha + params.beta * g, params.alpha, params.beta)

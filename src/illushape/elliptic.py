@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ModelParams, _check_field, _surrogate_cell
-from .grid import GridField, face_means, zero_rim
+from .energy import ModelParams, _surrogate_cell
+from .grid import GridField, require_same_geometry, zero_rim
 
 __all__ = [
     "LinearizedData",
@@ -36,11 +36,10 @@ DENSE_ORACLE_LIMIT = 4096
 
 @dataclass(frozen=True, eq=False)
 class LinearizedData:
-    """Reaction coefficient, right-hand side, and surrogate target fields."""
+    """Reaction coefficient and right-hand side of the inner problem."""
 
     g_n: GridField
     f_n: GridField
-    gamma_n: GridField
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,10 @@ class CgConvergenceError(RuntimeError):
 
 def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     """Coefficients of the inner linear problem frozen at iterate z_n."""
-    weight, gamma = _surrogate_cell(z_n, p)
+    weight, _ = _surrogate_cell(z_n, p)
     g = weight + p.lam * p.mask.indicator()
     f = 3.0 * p.canyon.values * np.square(z_n.values)
-    geom = z_n.geometry
-    return LinearizedData(GridField(geom, g), GridField(geom, f), GridField(geom, gamma))
+    return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -110,16 +108,11 @@ class Operator:
         self.shape = geom.shape
         self.width = geom.width
         scale = (p.epsilon / geom.h) ** 2
-        gx, gy = face_means(p.canyon.values)
-        gx *= scale
-        gy *= scale
+        gx, gy = p.faces
         cx = np.zeros(geom.cells)
-        cx.reshape(geom.shape)[:, :-1] = gx
+        np.multiply(gx, scale, out=cx.reshape(geom.shape)[:, :-1])
         self.cx = cx[:-1]
-        self.cy = gy.ravel()
-        # 2-D views shaped (H, W-1) and (H-1, W) like ``face_means``
-        self.cx2d = cx.reshape(geom.shape)[:, :-1]
-        self.cy2d = gy
+        self.cy = (gy * scale).ravel()
 
     def apply(self, z: np.ndarray, g: np.ndarray, out: np.ndarray, face: np.ndarray) -> None:
         """``out = A z`` for a flat zero-rim ``z``; ``face`` is scratch of length N - 1.
@@ -158,7 +151,7 @@ def apply_operator(z: GridField, data: LinearizedData, p: ModelParams) -> GridFi
     Boundary entries of the argument are treated as Dirichlet zeros and the
     result is zero on the rim.
     """
-    _check_field(z, p)
+    require_same_geometry(z, p)
     n = z.geometry.cells
     out = np.empty(n)
     zi = zero_rim(z.values.copy()).ravel()
@@ -191,8 +184,7 @@ def cg_solve(
     if warm_start is None:
         x = np.zeros(n)
     else:
-        if warm_start.geometry != geom:
-            raise ValueError("warm start does not match the grid")
+        require_same_geometry(warm_start, data.f_n)
         x = zero_rim(warm_start.values.copy()).ravel()
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
@@ -234,36 +226,23 @@ def cg_solve(
 def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
     """Dense interior system matrix, row-major over interior cells.
 
-    Same stencil and boundary convention as ``apply_operator``; bounded by
+    Column j is the operator's kernel applied to the j-th interior unit
+    vector, so the matrix is ``apply_operator`` written out; bounded by
     ``DENSE_ORACLE_LIMIT`` unknowns.
     """
     geom = data.f_n.geometry
-    rows, cols = geom.height - 2, geom.width - 2
-    n = rows * cols
+    cells = np.arange(geom.cells).reshape(geom.shape)[1:-1, 1:-1].ravel()
+    n = len(cells)
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} interior unknowns")
-    op = p.operator
-    cx, cy = op.cx2d, op.cy2d
-    diag = np.empty(geom.cells)
-    op.diagonal(data.g_n.values.ravel(), out=diag)
-    diag = diag.reshape(geom.shape)
-
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * cols + (j - 1)
-
-    K = np.zeros((n, n))
-    for i in range(1, geom.height - 1):
-        for j in range(1, geom.width - 1):
-            k = idx(i, j)
-            K[k, k] = diag[i, j]
-            if j > 1:
-                K[k, idx(i, j - 1)] = -cx[i, j - 1]
-            if j < geom.width - 2:
-                K[k, idx(i, j + 1)] = -cx[i, j]
-            if i > 1:
-                K[k, idx(i - 1, j)] = -cy[i - 1, j]
-            if i < geom.height - 2:
-                K[k, idx(i + 1, j)] = -cy[i, j]
+    g = data.g_n.values.ravel()
+    unit, out, face = np.zeros(geom.cells), np.empty(geom.cells), np.empty(geom.cells - 1)
+    K = np.empty((n, n))
+    for j, k in enumerate(cells):
+        unit[k] = 1.0
+        p.operator.apply(unit, g, out, face)
+        unit[k] = 0.0
+        K[:, j] = out[cells]
     return K
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .canyon import CanyonField, ConfigurationMask
-from .grid import GridField, face_diffs, face_means, rim_any
+from .grid import GridField, face_diffs, face_means, require_same_geometry, rim_any
 
 __all__ = [
     "PhaseField",
@@ -53,8 +53,7 @@ class ModelParams:
     mask: ConfigurationMask
 
     def __post_init__(self) -> None:
-        if self.canyon.geometry != self.mask.geometry:
-            raise ValueError("canyon and mask live on different grids")
+        require_same_geometry(self.canyon, self.mask)
         h = self.canyon.geometry.h
         hi = max(0.25, h)  # grids under 4 cells have h > 0.25; allow epsilon = h there
         if not (h <= self.epsilon <= hi):
@@ -67,6 +66,14 @@ class ModelParams:
     @property
     def geometry(self):
         return self.canyon.geometry
+
+    @cached_property
+    def faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only x- and y-face means of the canyon, built on first use."""
+        gx, gy = face_means(self.canyon.values)
+        gx.setflags(write=False)
+        gy.setflags(write=False)
+        return gx, gy
 
     @cached_property
     def operator(self):
@@ -91,11 +98,6 @@ def surrogate_target(z):
     return 3.0 * zz / (1.0 + 2.0 * zz)
 
 
-def _check_field(z: GridField, p: ModelParams) -> None:
-    if z.geometry != p.geometry:
-        raise ValueError("field does not match the model grid")
-
-
 def _face_form(a: np.ndarray, b: np.ndarray, p: ModelParams) -> float:
     """Face sum of G_face * da * db, the stencil shared with the elliptic operator.
 
@@ -103,7 +105,7 @@ def _face_form(a: np.ndarray, b: np.ndarray, p: ModelParams) -> float:
     """
     dax, day = face_diffs(a)
     dbx, dby = (dax, day) if b is a else face_diffs(b)
-    gx, gy = face_means(p.canyon.values)
+    gx, gy = p.faces
     return float(np.sum(gx * dax * dbx)) + float(np.sum(gy * day * dby))
 
 
@@ -114,7 +116,7 @@ def total_energy(z: PhaseField, p: ModelParams) -> float:
     G Phi(z) / (2 epsilon), and confinement lam chi z^2 / (2 epsilon), all
     under midpoint quadrature.
     """
-    _check_field(z, p)
+    require_same_geometry(z, p)
     zv = z.values
     h = p.geometry.h
     grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
@@ -129,14 +131,14 @@ def _surrogate_cell(z_n: PhaseField, p: ModelParams) -> tuple[np.ndarray, np.nda
 
     The linearized operator is assembled from the same pair.
     """
-    _check_field(z_n, p)
+    require_same_geometry(z_n, p)
     zn = z_n.values
     return p.canyon.values * (1.0 + 2.0 * np.square(zn)), surrogate_target(zn)
 
 
 def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     """Strictly convex quadratic majorant of the total energy at iterate z_n."""
-    _check_field(z, p)
+    require_same_geometry(z, p)
     zv = z.values
     h = p.geometry.h
     weight, target = _surrogate_cell(z_n, p)
@@ -153,8 +155,8 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     Vanishes for every zero-trace direction exactly when z solves the
     linearized elliptic equation assembled from z_n.
     """
-    _check_field(z, p)
-    _check_field(u, p)
+    require_same_geometry(z, p)
+    require_same_geometry(u, p)
     zv = z.values
     uv = u.values
     h = p.geometry.h
@@ -173,8 +175,8 @@ def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams) -> floa
     quadrature of (new - prev)^2 (2 prev + 4 m (1 - m)) / (2 epsilon) with m
     the midpoint of the two iterates; nonnegative whenever both lie in [0, 1].
     """
-    _check_field(prev, p)
-    _check_field(new, p)
+    require_same_geometry(prev, p)
+    require_same_geometry(new, p)
     a = prev.values
     b = new.values
     m = 0.5 * (a + b)

@@ -116,9 +116,10 @@ def heat_step(u: np.ndarray, r: float, mode: str) -> np.ndarray:
     return u + r * (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * u)
 
 
-def require_same_geometry(a: GridField, b: GridField) -> None:
+def require_same_geometry(a, b) -> None:
+    """Reject two objects with a ``.geometry`` (fields, masks, models) on different grids."""
     if a.geometry != b.geometry:
-        raise ValueError("fields live on different grids")
+        raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different grids")
 
 
 def gradient_magnitude(f: GridField) -> GridField:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, GridMask
+from .grid import GridField, GridMask, require_same_geometry
 
 __all__ = [
     "ShapeMask",
@@ -80,8 +80,7 @@ def connected_components(mask: ShapeMask) -> ComponentSet:
 
 def iou(a: ShapeMask, b: ShapeMask) -> float:
     """Intersection over union; two empty masks count as identical."""
-    if a.geometry != b.geometry:
-        raise ValueError("masks live on different grids")
+    require_same_geometry(a, b)
     union = int(np.logical_or(a.inside, b.inside).sum())
     if union == 0:
         return 1.0

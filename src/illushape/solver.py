@@ -17,7 +17,7 @@ import numpy as np
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
 from .elliptic import CgParams, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
-from .grid import heat_step, rms_diff, zero_rim
+from .grid import heat_step, require_same_geometry, rms_diff, zero_rim
 
 __all__ = [
     "SolverConfig",
@@ -92,7 +92,6 @@ def default_model(
     sigma_factor: float = 2.0,
     gain: float = 3.0,
     g_kind: str = "exp_square",
-    raw_gradient: bool = False,
 ) -> ModelParams:
     """Model assembly with the stock parameter choices.
 
@@ -108,7 +107,6 @@ def default_model(
             beta=beta,
             g_kind=g_kind,
             gain=gain,
-            raw_gradient=raw_gradient,
         ),
     )
     return ModelParams(epsilon=epsilon_factor * h, lam=lam, canyon=canyon, mask=mask)
@@ -183,8 +181,7 @@ def run(
     nonlinear stationarity residual of the final iterate.
     """
     z = initial if initial is not None else null_hypothesis(mask)
-    if z.geometry != cfg.model.geometry:
-        raise ValueError("initial field does not match the model grid")
+    require_same_geometry(z, cfg.model)
     if cfg.presmooth_steps:
         z = presmooth(z, cfg.presmooth_steps)
 

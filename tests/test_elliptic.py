@@ -13,7 +13,10 @@ from illushape import (
     dense_solve_oracle,
     first_variation,
     linearize,
+    surrogate_target,
+    total_energy,
 )
+from illushape import energy
 
 from helpers import (
     face_coefficients,
@@ -43,7 +46,6 @@ def test_linearize_at_zero():
     chi = p.mask.indicator()
     assert np.allclose(data.g_n.values, p.canyon.values + p.lam * chi, rtol=0, atol=0)
     assert np.all(data.f_n.values == 0.0)
-    assert np.all(data.gamma_n.values == 0.0)
 
 
 def test_linearize_at_one():
@@ -56,22 +58,22 @@ def test_linearize_at_one():
     chi = p.mask.indicator()
     assert np.allclose(data.g_n.values, 3.0 * p.canyon.values + p.lam * chi, rtol=1e-15)
     assert np.allclose(data.f_n.values, 3.0 * p.canyon.values, rtol=1e-15)
-    assert np.all(data.gamma_n.values == 1.0)
 
 
 def test_linearize_consistency_identity():
-    # f equals g * gamma minus the confinement part, cell by cell
+    # f equals g * gamma minus the confinement part, cell by cell, with
+    # gamma the surrogate target at the frozen iterate
     rng = np.random.default_rng(2)
     geom = GridGeometry(8, 8)
-    data, p = random_instance(geom, rng)
+    p = random_model(geom, rng)
+    z_n = GridField(geom, rng.uniform(0.0, 1.0, size=geom.shape))
+    data = linearize(z_n, p)
+    gamma = surrogate_target(z_n.values)
     chi = p.mask.indicator()
     for i in range(geom.height):
         for j in range(geom.width):
             lhs = data.f_n.values[i, j]
-            rhs = (
-                data.g_n.values[i, j] * data.gamma_n.values[i, j]
-                - p.lam * chi[i, j] * data.gamma_n.values[i, j]
-            )
+            rhs = data.g_n.values[i, j] * gamma[i, j] - p.lam * chi[i, j] * gamma[i, j]
             assert lhs == pytest.approx(rhs, abs=1e-12)
     assert np.all(data.g_n.values >= p.canyon.alpha)
     assert np.all(data.f_n.values >= 0.0)
@@ -97,16 +99,31 @@ def test_flat_kernel_matches_flux_form_bitwise():
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_operator_built_once_per_model():
+def test_operator_built_once_per_model(monkeypatch):
     rng = np.random.default_rng(53)
     geom = GridGeometry(10, 8)
     data, p = random_instance(geom, rng)
     assert "operator" not in vars(p)
+    assert "faces" not in vars(p)
+    calls = []
+    real_face_means = energy.face_means
+
+    def counted_face_means(values):
+        calls.append(values)
+        return real_face_means(values)
+
+    monkeypatch.setattr(energy, "face_means", counted_face_means)
+    z = random_phase(geom, rng)
+    total_energy(z, p)
     cg_solve(data, p)
     op = p.operator
     apply_operator(zero_rim_field(geom, rng), data, p)
     cg_solve(data, p)
+    total_energy(z, p)
     assert p.operator is op
+    assert len(calls) == 1
+    gx, gy = p.faces
+    assert not gx.flags.writeable and not gy.flags.writeable
 
 
 def assert_same_solve(got, expected):
@@ -149,9 +166,7 @@ def test_operator_matches_dirichlet_laplacian_eigenpair():
     h = geom.h
     p = flat_model(geom, g_value=1.0, epsilon=2 * h)
     c = 0.7
-    data = LinearizedData(
-        GridField.full(geom, c), GridField.zeros(geom), GridField.zeros(geom)
-    )
+    data = LinearizedData(GridField.full(geom, c), GridField.zeros(geom))
     k, l = 3, 2
     rows = np.sin(np.pi * k * np.arange(geom.height) / (geom.height - 1))
     cols = np.sin(np.pi * l * np.arange(geom.width) / (geom.width - 1))
@@ -196,7 +211,7 @@ def test_cg_zero_rhs_short_circuits():
     rng = np.random.default_rng(11)
     geom = GridGeometry(12, 12)
     data, p = random_instance(geom, rng)
-    zero_data = LinearizedData(data.g_n, GridField.zeros(geom), data.gamma_n)
+    zero_data = LinearizedData(data.g_n, GridField.zeros(geom))
     solution, stats = cg_solve(zero_data, p)
     assert np.all(solution.values == 0.0)
     assert stats.iterations == 0
@@ -288,7 +303,7 @@ def test_dense_oracle_single_unknown_closed_form():
     )
     g = rng.uniform(1.0, 2.0, size=geom.shape)
     f = rng.uniform(0.0, 1.0, size=geom.shape)
-    data = LinearizedData(GridField(geom, g), GridField(geom, f), GridField.zeros(geom))
+    data = LinearizedData(GridField(geom, g), GridField(geom, f))
     faces = (
         0.5 * (G[1, 1] + G[1, 0])
         + 0.5 * (G[1, 1] + G[1, 2])
@@ -312,23 +327,24 @@ def test_dense_solution_satisfies_equation():
 
 
 def test_dense_matrix_matches_operator_columns():
+    # the oracle is built from the operator's kernel, so it is checked
+    # against the independent 2-D flux form, bit for bit
     rng = np.random.default_rng(37)
-    geom = GridGeometry(6, 5)
-    data, p = random_instance(geom, rng)
-    K = dense_matrix(data, p)
-    rows, cols = geom.height - 2, geom.width - 2
-    for k in range(rows * cols):
-        unit = np.zeros(geom.shape)
-        unit[1 + k // cols, 1 + k % cols] = 1.0
-        column = apply_operator(GridField(geom, unit), data, p).values[1:-1, 1:-1].ravel()
-        assert np.array_equal(K[:, k], column)
+    for geom in (GridGeometry(6, 5), GridGeometry(6, 6), GridGeometry(9, 4)):
+        data, p = random_instance(geom, rng)
+        K = dense_matrix(data, p)
+        cx, cy = face_coefficients(p)
+        rows, cols = geom.height - 2, geom.width - 2
+        for k in range(rows * cols):
+            unit = np.zeros(geom.shape)
+            unit[1 + k // cols, 1 + k % cols] = 1.0
+            column = flux_apply(unit, cx, cy, data.g_n.values)[1:-1, 1:-1].ravel()
+            assert np.array_equal(K[:, k].view(np.uint64), column.view(np.uint64))
 
 
 def test_dense_oracle_size_limit():
     geom = GridGeometry(80, 80)
-    data = LinearizedData(
-        GridField.full(geom, 1.0), GridField.zeros(geom), GridField.zeros(geom)
-    )
+    data = LinearizedData(GridField.full(geom, 1.0), GridField.zeros(geom))
     p = flat_model(geom)
     with pytest.raises(ValueError):
         dense_solve_oracle(data, p)
@@ -341,6 +357,6 @@ def test_dense_solution_nonnegative_for_nonnegative_rhs():
     for _ in range(10):
         data, p = random_instance(geom, rng)
         f = rng.uniform(0.0, 1.0, size=geom.shape)
-        nonneg = LinearizedData(data.g_n, GridField(geom, f), data.gamma_n)
+        nonneg = LinearizedData(data.g_n, GridField(geom, f))
         sol = dense_solve_oracle(nonneg, p)
         assert sol.values.min() >= -1e-12

@@ -7,12 +7,15 @@ from illushape import (
     GridGeometry,
     ModelParams,
     PhaseField,
+    SolverConfig,
+    apply_operator,
     cg_solve,
     double_well,
     energy_drop_bound,
     first_variation,
     linearize,
     profile_measure_1d,
+    run,
     surrogate_energy,
     surrogate_target,
     total_energy,
@@ -301,7 +304,15 @@ def test_profile_measure_validates_inputs():
 
 def test_geometry_mismatch_rejected():
     rng = np.random.default_rng(47)
-    p = random_model(GridGeometry(8, 8), rng)
+    geom = GridGeometry(8, 8)
+    p = random_model(geom, rng)
+    data = linearize(random_phase(geom, rng), p)
     z_other = PhaseField.zeros(GridGeometry(9, 9))
-    with pytest.raises(ValueError):
-        total_energy(z_other, p)
+    for call in (
+        lambda: total_energy(z_other, p),
+        lambda: apply_operator(z_other, data, p),
+        lambda: cg_solve(data, p, warm_start=z_other),
+        lambda: run(p.mask, SolverConfig(model=p), initial=z_other),
+    ):
+        with pytest.raises(ValueError, match="different grids"):
+            call()
