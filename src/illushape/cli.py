@@ -5,14 +5,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .canyon import ConfigurationMask, NoBoundaryError
+from .canyon import ConfigurationMask
 from .elliptic import CgConvergenceError, CgParams
 from .energy import PhaseField
 from .grid import GridField, GridGeometry
@@ -23,7 +24,6 @@ __all__ = [
     "PgmFormatError",
     "EmptyConfigurationError",
     "BoundaryContactError",
-    "RunSummary",
     "read_pgm",
     "write_pgm",
     "load_mask",
@@ -32,7 +32,9 @@ __all__ = [
     "main",
 ]
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# One graymap token with the whitespace and "#" comments (to the end of the
+# line) before it; the token is empty only where the data end.
+_TOKEN = re.compile(rb"\s*(?:#[^\r\n]*\s*)*(\S*)")
 
 
 class PgmFormatError(ValueError):
@@ -47,36 +49,6 @@ class BoundaryContactError(ValueError):
     """The inducer configuration touches the image border."""
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmFormatError("truncated graymap header")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
-
-
-def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_token(data, pos)
-    try:
-        value = int(token)
-    except ValueError:
-        raise PgmFormatError(f"bad {what} in graymap header: {token!r}") from None
-    if value <= 0:
-        raise PgmFormatError(f"{what} must be positive, got {value}")
-    return value, pos
-
-
 def read_pgm(path) -> tuple[int, int, np.ndarray]:
     """Read an 8-bit PGM (plain P2 or raw P5); returns (width, height, pixels)."""
     width, height, _, pixels = _read_graymap(path)
@@ -86,17 +58,25 @@ def read_pgm(path) -> tuple[int, int, np.ndarray]:
 def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
     """``read_pgm`` plus the header's maxval."""
     data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0)
+    tokens = _TOKEN.finditer(data)
+    magic = next(tokens)[1]
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"unsupported graymap magic {magic!r} (want P2 or P5)")
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
+    header = []
+    for what in ("width", "height", "maxval"):
+        last = next(tokens)
+        try:
+            header.append(int(last[1]))
+        except ValueError:
+            raise PgmFormatError(f"bad or missing graymap {what}: {last[1]!r}") from None
+    width, height, maxval = header
+    if min(header) <= 0:
+        raise PgmFormatError(f"graymap width, height and maxval must be positive, got {header}")
     if maxval > 255:
         raise PgmFormatError(f"only 8-bit graymaps supported (maxval {maxval})")
     n = width * height
     if magic == b"P5":
-        pos += 1  # single whitespace byte after maxval
+        pos = last.end() + 1  # single whitespace byte after maxval
         raster = data[pos : pos + n]
         if len(raster) < n:
             raise PgmFormatError("truncated P5 raster")
@@ -104,16 +84,16 @@ def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
         if pixels.max() > maxval:
             raise PgmFormatError(f"P5 sample {pixels.max()} outside [0, {maxval}]")
     else:
-        values = []
-        for _ in range(n):
-            token, pos = _next_token(data, pos)
-            try:
-                v = int(token)
-            except ValueError:
-                raise PgmFormatError(f"bad P2 sample {token!r}") from None
-            if not (0 <= v <= maxval):
-                raise PgmFormatError(f"P2 sample {v} outside [0, {maxval}]")
-            values.append(v)
+        if n > len(data):  # each sample takes at least one byte
+            raise PgmFormatError("truncated P2 raster")
+        try:  # empty tokens come only at the end, so dropping them leaves a short list
+            values = list(map(int, filter(None, (m[1] for m in islice(tokens, n)))))
+        except ValueError as exc:
+            raise PgmFormatError(f"bad P2 sample: {exc}") from None
+        if len(values) < n:
+            raise PgmFormatError("truncated P2 raster")
+        if min(values) < 0 or max(values) > maxval:
+            raise PgmFormatError(f"P2 sample outside [0, {maxval}]")
         pixels = np.array(values, dtype=np.uint8).reshape(height, width)
     return width, height, maxval, pixels
 
@@ -152,28 +132,6 @@ def save_field_image(f: GridField, path) -> None:
     """Quantize a field to 8 bits (round half up after clamping to [0, 1])."""
     q = np.floor(np.clip(f.values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     write_pgm(path, q)
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Everything needed to reproduce and audit a run, minus wall time.
-
-    ``sqrt_rho_partial_sum`` accumulates the square roots of the per-step
-    energy improvements; a bounded tail indicates fast (quadratic-power-law
-    style) convergence.  It is reported as a diagnostic, never asserted.
-    """
-
-    input: str
-    parameters: dict
-    status: str
-    iterations: int
-    final_energy: float
-    final_rms_update: float
-    el_residual: float
-    sqrt_rho_partial_sum: float
-    component_count: int
-    component_areas: tuple[int, ...]
-    elapsed_seconds: float
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,7 +210,7 @@ def run_command(argv=None) -> int:
         )
         if not (0.0 < args.threshold < 1.0):
             raise ValueError("threshold must lie strictly between 0 and 1")
-    except (OSError, ValueError, NoBoundaryError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"illushape: {exc}", file=sys.stderr)
         return 1
 
@@ -265,68 +223,58 @@ def run_command(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         final, report = run(mask, cfg, snapshot_sink=sink if args.snapshot_every else None)
-    except (CgConvergenceError, RangePreservationError) as exc:
-        print(f"illushape: solver failure: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"illushape: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - t0
-
-    shape = extract_shape(final, args.threshold)
-    components = connected_components(shape)
-
-    try:
+        elapsed = time.perf_counter() - t0
+        shape = extract_shape(final, args.threshold)
+        components = connected_components(shape)
         save_field_image(final, out_dir / "final_phase.pgm")
         write_pgm(out_dir / "shape.pgm", shape.inside.astype(np.uint8) * 255)
         _write_energy_csv(out_dir / "energy.csv", report)
-    except OSError as exc:
-        print(f"illushape: {exc}", file=sys.stderr)
-        return 1
-
-    geometry = mask.geometry
-    last = report.steps[-1]
-    sqrt_rho = float(
-        sum(math.sqrt(max(s.rho, 0.0)) for s in report.steps if not math.isnan(s.rho))
-    )
-    summary = RunSummary(
-        input=str(args.input),
-        parameters={
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "lambda": args.lam,
-            "epsilon": model.epsilon,
-            "epsilon_factor": args.epsilon_factor,
-            "sigma": args.sigma_factor * geometry.h,
-            "sigma_factor": args.sigma_factor,
-            "gain": args.gain,
-            "g_kind": _G_KINDS[args.g],
-            "delta": args.delta,
-            "max_outer": args.max_outer,
-            "cg_tol": args.cg_tol,
-            "threshold": args.threshold,
-            "presmooth": args.presmooth,
-            "snapshot_every": args.snapshot_every,
-            "invert": args.invert,
-            "bin_threshold": args.bin_threshold,
-            "width": geometry.width,
-            "height": geometry.height,
-            "h": geometry.h,
-        },
-        status=report.status,
-        iterations=len(report.steps),
-        final_energy=last.energy,
-        final_rms_update=last.rms_update,
-        el_residual=report.el_residual,
-        sqrt_rho_partial_sum=sqrt_rho,
-        component_count=components.count,
-        component_areas=components.areas,
-        elapsed_seconds=elapsed,
-    )
-    try:
+        geometry = mask.geometry
+        last = report.steps[-1]
+        summary = {
+            "input": str(args.input),
+            "parameters": {
+                "alpha": args.alpha,
+                "beta": args.beta,
+                "lambda": args.lam,
+                "epsilon": model.epsilon,
+                "epsilon_factor": args.epsilon_factor,
+                "sigma": args.sigma_factor * geometry.h,
+                "sigma_factor": args.sigma_factor,
+                "gain": args.gain,
+                "g_kind": _G_KINDS[args.g],
+                "delta": args.delta,
+                "max_outer": args.max_outer,
+                "cg_tol": args.cg_tol,
+                "threshold": args.threshold,
+                "presmooth": args.presmooth,
+                "snapshot_every": args.snapshot_every,
+                "invert": args.invert,
+                "bin_threshold": args.bin_threshold,
+                "width": geometry.width,
+                "height": geometry.height,
+                "h": geometry.h,
+            },
+            "status": report.status,
+            "iterations": len(report.steps),
+            "final_energy": last.energy,
+            "final_rms_update": last.rms_update,
+            "el_residual": report.el_residual,
+            # square roots of the per-step energy drops; a bounded tail suggests
+            # fast (quadratic power law) convergence; a diagnostic, never asserted
+            "sqrt_rho_partial_sum": float(
+                sum(math.sqrt(max(s.rho, 0.0)) for s in report.steps if not math.isnan(s.rho))
+            ),
+            "component_count": components.count,
+            "component_areas": components.areas,
+            "elapsed_seconds": elapsed,
+        }
         with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
-            json.dump(asdict(summary), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    except (CgConvergenceError, RangePreservationError) as exc:
+        print(f"illushape: solver failure: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"illushape: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ModelParams, _surrogate_cell
+from .energy import ModelParams, _surrogate_weight
 from .grid import GridField, require_same_geometry, zero_rim
 
 __all__ = [
@@ -77,8 +77,7 @@ class CgConvergenceError(RuntimeError):
 
 def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     """Coefficients of the inner linear problem frozen at iterate z_n."""
-    weight, _ = _surrogate_cell(z_n, p)
-    g = weight + p.lam * p.mask.indicator()
+    g = _surrogate_weight(z_n, p) + p.lam * p.mask.indicator()
     f = 3.0 * p.canyon.values * np.square(z_n.values)
     return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
 

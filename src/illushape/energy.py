@@ -126,14 +126,13 @@ def total_energy(z: PhaseField, p: ModelParams) -> float:
     return grad + well + pin
 
 
-def _surrogate_cell(z_n: PhaseField, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Cell weight G (1 + 2 z_n^2) and target of the surrogate frozen at z_n.
+def _surrogate_weight(z_n: PhaseField, p: ModelParams) -> np.ndarray:
+    """Cell weight G (1 + 2 z_n^2) of the surrogate frozen at z_n.
 
-    The linearized operator is assembled from the same pair.
+    The linearized operator is assembled from the same weight.
     """
     require_same_geometry(z_n, p)
-    zn = z_n.values
-    return p.canyon.values * (1.0 + 2.0 * np.square(zn)), surrogate_target(zn)
+    return p.canyon.values * (1.0 + 2.0 * np.square(z_n.values))
 
 
 def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
@@ -141,7 +140,8 @@ def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     require_same_geometry(z, p)
     zv = z.values
     h = p.geometry.h
-    weight, target = _surrogate_cell(z_n, p)
+    weight = _surrogate_weight(z_n, p)
+    target = surrogate_target(z_n.values)
     grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
     cell_scale = h * h / (2.0 * p.epsilon)
     cell = cell_scale * float(np.sum(weight * np.square(zv - target)))
@@ -160,7 +160,8 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     zv = z.values
     uv = u.values
     h = p.geometry.h
-    weight, target = _surrogate_cell(z_n, p)
+    weight = _surrogate_weight(z_n, p)
+    target = surrogate_target(z_n.values)
     grad = p.epsilon * _face_form(zv, uv, p)
     cell_scale = h * h / p.epsilon
     cell = cell_scale * float(np.sum(weight * (zv - target) * uv))

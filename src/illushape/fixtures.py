@@ -188,8 +188,12 @@ def main(argv=None) -> int:
         kwargs["width"] = args.width
     if args.height is not None:
         kwargs["height"] = args.height
-    mask = _GENERATORS[args.kind](**kwargs)
-    write_pgm(args.output, mask_to_pixels(mask))
+    try:
+        mask = _GENERATORS[args.kind](**kwargs)
+        write_pgm(args.output, mask_to_pixels(mask))
+    except (OSError, ValueError) as exc:
+        print(f"illushape.fixtures: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.output} ({mask.geometry.width}x{mask.geometry.height}, "
           f"{mask.count()} inducer pixels)")
     return 0

@@ -39,6 +39,10 @@ def test_p2_parsing_with_comments(tmp_path):
     w, h, pixels = read_pgm(path)
     assert (w, h) == (3, 2)
     assert np.array_equal(pixels, np.array([[0, 64, 128], [192, 255, 7]], dtype=np.uint8))
+    # a comment between raster samples, and one straight after the last sample at EOF
+    for raster in ("0 64 # mid-raster\n128\n192 255 7\n", "0 64 128\n192 255 7 # at EOF, no newline"):
+        path.write_text(f"P2\n3 2\n255\n{raster}", encoding="ascii")
+        assert np.array_equal(read_pgm(path)[2], pixels)
 
 
 def test_rejects_non_pgm_and_wide_samples(tmp_path):
@@ -58,6 +62,17 @@ def test_rejects_non_pgm_and_wide_samples(tmp_path):
     above_maxval.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 200, 0, 0]))
     with pytest.raises(PgmFormatError):
         read_pgm(above_maxval)
+    plain = tmp_path / "plain.pgm"
+    for data in (
+        b"P2\n2 2\n255\n0 1#2 3 4\n",  # "#" inside a token does not start a comment
+        b"P2\n2 2\n255\n0 1 2\n",  # truncated raster
+        b"P2\n2 2\n255\n0 -1 2 3\n",
+        b"P2\n2 2\n255\n0 1 2 " + str(10**25).encode() + b"\n",
+        b"P2\n4294967296 4294967296\n255\n0 1 2 3\n",
+    ):
+        plain.write_bytes(data)
+        with pytest.raises(PgmFormatError):
+            read_pgm(plain)
 
 
 def test_load_mask_counts_dark_pixels(tmp_path):
@@ -211,7 +226,7 @@ def test_run_command_writes_snapshots(tmp_path):
     assert not (out / "snap_000003.pgm").exists()
 
 
-def test_fixture_writer_cli(tmp_path):
+def test_fixture_writer_cli(tmp_path, capsys):
     from illushape.fixtures import main as fixtures_main
 
     path = tmp_path / "disk.pgm"
@@ -219,6 +234,19 @@ def test_fixture_writer_cli(tmp_path):
     w, h, pixels = read_pgm(path)
     assert (w, h) == (64, 64)
     assert np.any(pixels == 0)
+    capsys.readouterr()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    for argv in (
+        ["kanizsa", str(tmp_path / "tiny.pgm"), "--width", "2"],
+        ["ellipse-triangle", str(tmp_path / "cramped.pgm"), "--width", "40", "--height", "20"],
+        ["disk", str(blocker / "disk.pgm")],
+    ):
+        assert fixtures_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("illushape.fixtures: ")
+    assert not (tmp_path / "tiny.pgm").exists()
+    assert not (tmp_path / "cramped.pgm").exists()
 
 
 _SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", "  \n "])
