@@ -172,11 +172,15 @@ def _write_energy_csv(path, report) -> None:
     def fmt(x: float) -> str:
         return f"{x:.17g}"
 
-    lines = ["iter,energy,rho,rms_update,cg_iters,cg_residual"]
+    lines = [
+        "iter,energy,rho,rms_update,cg_iters,cg_residual,"
+        "drop_bound,pre_clamp_min,pre_clamp_max,theta"
+    ]
     for s in report.steps:
         lines.append(
             f"{s.index},{fmt(s.energy)},{fmt(s.rho)},{fmt(s.rms_update)},"
-            f"{s.cg_iters},{fmt(s.cg_residual)}"
+            f"{s.cg_iters},{fmt(s.cg_residual)},{fmt(s.drop_bound)},"
+            f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{fmt(s.theta)}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

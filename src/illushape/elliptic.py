@@ -58,8 +58,12 @@ class CgParams:
 
 @dataclass(frozen=True)
 class CgStats:
+    """Outcome of one solve; ``theta`` is the line-search step along a
+    predicted direction, 0 when none was given or it was rejected."""
+
     iterations: int
     residual: float
+    theta: float = 0.0
 
 
 class CgConvergenceError(RuntimeError):
@@ -135,7 +139,11 @@ class Operator:
         zero_rim(out.reshape(self.shape))
 
     def diagonal(self, g: np.ndarray, out: np.ndarray) -> None:
-        """Flat diagonal of the operator with reaction coefficient ``g``, into ``out``."""
+        """Flat diagonal of the operator with reaction coefficient ``g``, into ``out``.
+
+        Every cell, rim included, has faces with positive coefficients, so
+        the diagonal is positive wherever ``g`` is nonnegative.
+        """
         w = self.width
         np.copyto(out, g)
         out[:-1] += self.cx
@@ -163,20 +171,28 @@ def cg_solve(
     p: ModelParams,
     cg: CgParams = CgParams(),
     warm_start: GridField | None = None,
+    direction: np.ndarray | None = None,
 ) -> tuple[GridField, CgStats]:
     """Jacobi-preconditioned conjugate gradient solve of A z = f_n.
 
     Stops when the relative residual drops to ``rel_tol``; a zero right-hand
-    side short-circuits to the zero field.  The loop works in place on flat
-    buffers allocated once per solve, and every reduction is ``_dot``, so
-    repeated solves are bit-identical whatever the BLAS thread count.
+    side short-circuits to the zero field.  With a ``direction`` s (a
+    writable float array of the grid's shape, taken over as the search
+    direction buffer), the start x0 moves to x0 + theta s with theta =
+    r0's / s'As, the exact minimizer of the inner quadratic along s, so the
+    start is never worse in the A-norm; theta is 0 when s'As <= 0.  That
+    costs one matvec.  The loop works in place on flat buffers: the
+    right-hand side is written into the residual, the preconditioned
+    residual doubles as the operator's face scratch, and every reduction is
+    ``_dot``, so repeated solves are bit-identical whatever the BLAS thread
+    count.
     """
     geom = data.f_n.geometry
     n = geom.cells
     op = p.operator
     g = data.g_n.values.ravel()
-    f = zero_rim(data.f_n.values.copy()).ravel()
-    f_norm = math.sqrt(_dot(f, f))
+    r = zero_rim(data.f_n.values.copy()).ravel()
+    f_norm = math.sqrt(_dot(r, r))
     if f_norm == 0.0:
         return GridField.zeros(geom), CgStats(0, 0.0)
 
@@ -187,39 +203,62 @@ def cg_solve(
         x = zero_rim(warm_start.values.copy()).ravel()
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
-    r, z, d, ad = (np.empty(n) for _ in range(4))
-    face = np.empty(n - 1)
-    minv = np.zeros(n)
+    # z is free whenever the operator runs, so its head is the face scratch
+    z, ad = np.empty(n), np.empty(n)
+    face = z[:-1]
+    minv = np.empty(n)
     op.diagonal(g, out=ad)
-    interior = (slice(1, -1), slice(1, -1))
-    np.divide(1.0, ad.reshape(geom.shape)[interior], out=minv.reshape(geom.shape)[interior])
+    # flat, because ufuncs on a 2-D interior view allocate iteration buffers
+    np.divide(1.0, ad, out=minv)
+    zero_rim(minv.reshape(geom.shape))
 
     op.apply(x, g, ad, face)
-    np.subtract(f, ad, out=r)
-    r_norm = math.sqrt(_dot(r, r))
-    if r_norm <= cg.rel_tol * f_norm:
-        return GridField(geom, x.reshape(geom.shape)), CgStats(0, r_norm / f_norm)
-
-    np.multiply(minv, r, out=z)
-    np.copyto(d, z)
-    rz = _dot(r, z)
-    for k in range(1, max_iters + 1):
+    r -= ad
+    theta = 0.0
+    if direction is None:
+        d = np.empty(n)
+    else:
+        if direction.shape != geom.shape:
+            raise ValueError(f"direction {direction.shape} and grid {geom.shape} are different grids")
+        d = zero_rim(direction).ravel()
         op.apply(d, g, ad, face)
-        alpha = rz / _dot(d, ad)
-        # z is free until the preconditioner refills it: use it for the updates
-        np.multiply(d, alpha, out=z)
-        x += z
-        np.multiply(ad, alpha, out=z)
-        r -= z
-        r_norm = math.sqrt(_dot(r, r))
-        if r_norm <= cg.rel_tol * f_norm:
-            return GridField(geom, x.reshape(geom.shape)), CgStats(k, r_norm / f_norm)
+        sas = _dot(d, ad)
+        if sas > 0.0:
+            theta = _dot(r, d) / sas
+            np.multiply(d, theta, out=z)
+            x += z
+            np.multiply(ad, theta, out=z)
+            r -= z
+    tol = cg.rel_tol * f_norm
+    r_norm = math.sqrt(_dot(r, r))
+    k = 0
+    if r_norm > tol:
         np.multiply(minv, r, out=z)
-        rz_next = _dot(r, z)
-        d *= rz_next / rz
-        d += z
-        rz = rz_next
-    raise CgConvergenceError(GridField(geom, x.reshape(geom.shape)), r_norm / f_norm, max_iters)
+        np.copyto(d, z)
+        rz = _dot(r, z)
+        while k < max_iters:
+            k += 1
+            op.apply(d, g, ad, face)
+            alpha = rz / _dot(d, ad)
+            # z is free until the preconditioner refills it: use it for the updates
+            np.multiply(d, alpha, out=z)
+            x += z
+            np.multiply(ad, alpha, out=z)
+            r -= z
+            r_norm = math.sqrt(_dot(r, r))
+            if r_norm <= tol:
+                break
+            np.multiply(minv, r, out=z)
+            rz_next = _dot(r, z)
+            d *= rz_next / rz
+            d += z
+            rz = rz_next
+    # freed before the result is copied out, so the copy does not raise the peak
+    del r, z, d, ad, minv, face
+    solution = GridField(geom, x.reshape(geom.shape))
+    if r_norm > tol:
+        raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
+    return solution, CgStats(k, r_norm / f_norm, theta)
 
 
 def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:

@@ -26,7 +26,16 @@ __all__ = [
 ]
 
 
+# Largest grid a generator builds (2048 x 2048); checked before any array exists.
+MAX_FIXTURE_CELLS = 2048 * 2048
+
+
 def _cell_centers(geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    if geom.cells > MAX_FIXTURE_CELLS:
+        raise ValueError(
+            f"{geom.width}x{geom.height} grid has {geom.cells} cells, "
+            f"above the fixture ceiling of {MAX_FIXTURE_CELLS}"
+        )
     h = geom.h
     x = (np.arange(geom.width) + 0.5) * h
     y = (np.arange(geom.height) + 0.5) * h

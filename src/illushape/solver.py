@@ -10,7 +10,9 @@ energy, range preservation, stationarity) are observable from the report.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +33,16 @@ __all__ = [
     "run",
     "euler_lagrange_residual",
 ]
+
+
+# The predicted CG start runs only at inner tolerances this tight or tighter;
+# there the start leaves no trace in the outer trajectory, while at looser
+# tolerances it shifts the final energy and the step count.
+PREDICT_MAX_TOL = 1e-8
+
+# Polynomial extrapolation of the next iterate from the last 2, 3 or 4
+# (newest first), minus the newest: linear, quadratic, cubic.
+_EXTRAPOLATION = {2: (1.0, -1.0), 3: (2.0, -3.0, 1.0), 4: (3.0, -6.0, 4.0, -1.0)}
 
 
 class RangePreservationError(RuntimeError):
@@ -59,12 +71,15 @@ class SolverConfig:
 class StepRecord:
     """One outer iteration.  ``step`` sets the inner-solver outcome and the
     pre-clamp range, ``run`` the rest.  ``rho`` and ``drop_bound`` compare
-    this iterate with its successor, so they stay NaN on the final record."""
+    this iterate with its successor, so they stay NaN on the final record.
+    ``theta`` is the inner solve's line-search step along the predicted
+    direction, 0 when no prediction ran."""
 
     cg_iters: int
     cg_residual: float
     pre_clamp_min: float
     pre_clamp_max: float
+    theta: float = 0.0
     index: int = 0
     energy: float = math.nan
     rho: float = math.nan
@@ -133,8 +148,13 @@ def presmooth(z0: PhaseField, steps: int) -> PhaseField:
     return PhaseField(z0.geometry, u)
 
 
-def step(z_n: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepRecord]:
+def step(
+    z_n: PhaseField, cfg: SolverConfig, direction: np.ndarray | None = None
+) -> tuple[PhaseField, StepRecord]:
     """One outer update: linearize at z_n, solve, clamp to [0, 1].
+
+    ``direction`` is passed to ``cg_solve``, which takes it over: the inner
+    solve then starts from the best point of z_n + theta * direction.
 
     The exact inner solution of an iterate in [0, 1] stays in [0, 1]; the
     finite solver tolerance may overshoot by a sliver, which is clamped.  An
@@ -142,7 +162,7 @@ def step(z_n: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepRecord]:
     raises instead of being silently clamped away.
     """
     data = linearize(z_n, cfg.model)
-    solution, cg_stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n)
+    solution, cg_stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, direction=direction)
     pre_min = float(solution.values.min())
     pre_max = float(solution.values.max())
     zn_min = float(z_n.values.min())
@@ -154,8 +174,19 @@ def step(z_n: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepRecord]:
             f"= {10.0 * cfg.cg.rel_tol:.3e}"
         )
     clamped = np.clip(solution.values, 0.0, 1.0)
-    record = StepRecord(cg_stats.iterations, cg_stats.residual, pre_min, pre_max)
+    record = StepRecord(cg_stats.iterations, cg_stats.residual, pre_min, pre_max, cg_stats.theta)
     return PhaseField(z_n.geometry, clamped), record
+
+
+def _predicted_direction(history: deque) -> np.ndarray | None:
+    """Extrapolated next iterate minus the newest, from the iterates so far."""
+    coeffs = _EXTRAPOLATION.get(len(history))
+    if coeffs is None:
+        return None
+    s = coeffs[0] * history[0]
+    for c, z in zip(coeffs[1:], islice(history, 1, None)):
+        s += c * z
+    return s
 
 
 def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
@@ -179,15 +210,22 @@ def run(
     ``(iteration, field)`` every that many steps; fields are read-only.
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
+
+    When ``cfg.cg.rel_tol <= PREDICT_MAX_TOL``, each inner solve after the
+    first starts from a prediction: the last four iterates (fewer while
+    the run is young) are extrapolated, and ``cg_solve`` line-searches
+    along the extrapolation from z_n.
     """
     z = initial if initial is not None else null_hypothesis(mask)
     require_same_geometry(z, cfg.model)
     if cfg.presmooth_steps:
         z = presmooth(z, cfg.presmooth_steps)
 
+    # a history of one iterate predicts nothing
+    history = deque([z.values], maxlen=4 if cfg.cg.rel_tol <= PREDICT_MAX_TOL else 1)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
-        z_next, record = step(z, cfg)
+        z_next, record = step(z, cfg, _predicted_direction(history))
         record.index = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)
@@ -197,6 +235,7 @@ def run(
             prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
         report.steps.append(record)
         z = z_next
+        history.appendleft(z.values)
         if snapshot_sink is not None and cfg.snapshot_every and n % cfg.snapshot_every == 0:
             snapshot_sink(n, z)
         if record.rms_update <= cfg.delta:

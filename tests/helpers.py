@@ -14,13 +14,21 @@ from illushape import (
     ConfigurationMask,
     GridField,
     GridGeometry,
+    IterationReport,
     LinearizedData,
     ModelParams,
     PhaseField,
+    SolverConfig,
+    energy_drop_bound,
+    euler_lagrange_residual,
     linearize,
+    null_hypothesis,
+    presmooth,
+    step,
+    total_energy,
 )
 from illushape.elliptic import _dot
-from illushape.grid import face_means, zero_rim
+from illushape.grid import face_means, rms_diff, zero_rim
 
 
 def empty_mask(geom: GridGeometry) -> ConfigurationMask:
@@ -157,3 +165,29 @@ def textbook_pcg(
         d = z + (rz_next / rz) * d
         rz = rz_next
     raise CgConvergenceError(GridField(geom, x), r_norm / f_norm, max_iters)
+
+
+def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
+    """``solver.run`` with every inner solve started at z_n, never at a prediction.
+
+    The reference for the predicted start: the same loop and bookkeeping,
+    calling ``step`` without a direction.
+    """
+    z = presmooth(null_hypothesis(mask), cfg.presmooth_steps)
+    report = IterationReport()
+    for n in range(1, cfg.max_outer + 1):
+        z_next, record = step(z, cfg)
+        record.index = n
+        record.energy = total_energy(z_next, cfg.model)
+        record.rms_update = rms_diff(z_next, z)
+        if report.steps:
+            prev = report.steps[-1]
+            prev.rho = prev.energy - record.energy
+            prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
+        report.steps.append(record)
+        z = z_next
+        if record.rms_update <= cfg.delta:
+            report.status = "converged"
+            break
+    report.el_residual = euler_lagrange_residual(z, cfg.model)
+    return z, report

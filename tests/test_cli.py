@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -179,10 +180,20 @@ def test_run_command_end_to_end(tmp_path):
         assert (out / name).exists()
 
     lines = (out / "energy.csv").read_text().strip().splitlines()
-    assert lines[0] == "iter,energy,rho,rms_update,cg_iters,cg_residual"
-    energies = [float(line.split(",")[1]) for line in lines[1:]]
+    assert lines[0] == (
+        "iter,energy,rho,rms_update,cg_iters,cg_residual,"
+        "drop_bound,pre_clamp_min,pre_clamp_max,theta"
+    )
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    energies = [row[1] for row in rows]
     slack = 1e-9 * (1.0 + energies[0])
     assert all(b <= a + slack for a, b in zip(energies, energies[1:]))
+    # rho and drop_bound describe the step to the next row, so the last row has neither
+    assert all(row[2] >= row[6] - slack for row in rows[:-1])
+    assert math.isnan(rows[-1][2]) and math.isnan(rows[-1][6])
+    assert all(-1e-9 <= row[7] <= row[8] <= 1.0 + 1e-9 for row in rows)
+    # the first inner solve has no earlier iterates to predict from
+    assert rows[0][9] == 0.0 and any(row[9] != 0.0 for row in rows)
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
@@ -241,12 +252,14 @@ def test_fixture_writer_cli(tmp_path, capsys):
         ["kanizsa", str(tmp_path / "tiny.pgm"), "--width", "2"],
         ["ellipse-triangle", str(tmp_path / "cramped.pgm"), "--width", "40", "--height", "20"],
         ["disk", str(blocker / "disk.pgm")],
+        ["kanizsa", str(tmp_path / "huge.pgm"), "--width", "1000000000", "--height", "1000000000"],
     ):
         assert fixtures_main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("illushape.fixtures: ")
     assert not (tmp_path / "tiny.pgm").exists()
     assert not (tmp_path / "cramped.pgm").exists()
+    assert not (tmp_path / "huge.pgm").exists()
 
 
 _SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", "  \n "])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,11 @@ def test_cg_matches_textbook_pcg_bitwise():
                 cg_solve(data, p, cg, warm_start=warm),
                 textbook_pcg(data, p, cg, warm_start=warm),
             )
+            # a zero direction gives theta = 0: the plain warm start, bit for bit
+            assert_same_solve(
+                cg_solve(data, p, cg, warm_start=warm, direction=np.zeros(geom.shape)),
+                textbook_pcg(data, p, cg, warm_start=warm),
+            )
 
 
 def test_operator_symmetry():
@@ -236,6 +243,56 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=exact)
     assert stats.iterations == 0
     assert np.array_equal(solution.values, exact.values)
+    # so does a start elsewhere with a direction pointing at the solution: theta = 1
+    warm = zero_rim_field(geom, rng, 0.0, 1.0)
+    solution, stats = cg_solve(
+        data, p, CgParams(rel_tol=1e-7), warm_start=warm, direction=exact.values - warm.values
+    )
+    assert stats.iterations == 0
+    assert stats.theta == pytest.approx(1.0, rel=1e-9)
+    assert np.abs(solution.values - exact.values).max() <= 1e-9
+
+
+def test_predicted_start_is_the_line_minimizer():
+    # the start z_n + theta s is the exact minimizer of the inner quadratic along s
+    rng = np.random.default_rng(61)
+    for geom in (GridGeometry(12, 10), GridGeometry(9, 14)):
+        for _ in range(10):
+            data, p = random_instance(geom, rng)
+            K = dense_matrix(data, p)
+            b = data.f_n.values[1:-1, 1:-1].ravel()
+
+            def q(x):
+                return 0.5 * x @ K @ x - b @ x
+
+            warm = zero_rim_field(geom, rng, 0.0, 1.0)
+            s = zero_rim_field(geom, rng).values
+            x0, si = warm.values[1:-1, 1:-1].ravel(), s[1:-1, 1:-1].ravel()
+            _, stats = cg_solve(data, p, CgParams(), warm_start=warm, direction=s.copy())
+            assert stats.theta == pytest.approx((b - K @ x0) @ si / (si @ K @ si), rel=1e-9)
+            start = q(x0 + stats.theta * si)
+            assert start <= q(x0) + 1e-12 * (1.0 + abs(q(x0)))
+            for t in (0.9, 1.1):
+                assert start <= q(x0 + t * stats.theta * si) + 1e-12 * (1.0 + abs(start))
+
+
+def test_cg_direction_adds_no_memory():
+    rng = np.random.default_rng(73)
+    geom = GridGeometry(64, 64)
+    data, p = random_instance(geom, rng)
+    warm = zero_rim_field(geom, rng, 0.0, 1.0)
+    direction = rng.uniform(-0.01, 0.01, size=geom.shape)
+    p.operator  # built once per model, outside the measurement
+
+    def peak(**kw):
+        tracemalloc.start()
+        try:
+            cg_solve(data, p, warm_start=warm, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(direction=direction) <= peak()
 
 
 def test_cg_residual_contract_on_random_instances():

@@ -312,6 +312,7 @@ def test_geometry_mismatch_rejected():
         lambda: total_energy(z_other, p),
         lambda: apply_operator(z_other, data, p),
         lambda: cg_solve(data, p, warm_start=z_other),
+        lambda: cg_solve(data, p, direction=np.zeros(z_other.geometry.shape)),
         lambda: run(p.mask, SolverConfig(model=p), initial=z_other),
     ):
         with pytest.raises(ValueError, match="different grids"):

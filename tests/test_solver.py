@@ -10,6 +10,7 @@ import pytest
 
 import illushape
 from illushape import (
+    CgParams,
     PhaseField,
     SolverConfig,
     default_model,
@@ -21,9 +22,9 @@ from illushape import (
     surrogate_energy,
     total_energy,
 )
-from illushape.fixtures import kanizsa_triangle
+from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
-from helpers import random_phase
+from helpers import plain_run, random_phase
 
 
 @pytest.fixture(scope="module")
@@ -116,21 +117,22 @@ def test_run_converges_and_decreases_energy(small_setup):
     assert np.all(z.values[:, 0] == 0.0)
 
 
+def _same_record(a, b) -> bool:
+    """Field-by-field equality of two step records, NaN matching NaN."""
+    return all(
+        x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b), strict=True)
+    )
+
+
 def test_run_is_deterministic(small_setup):
     mask, cfg = small_setup
     _, first = run(mask, cfg)
     _, second = run(mask, cfg)
     assert first.status == second.status
     assert first.el_residual == second.el_residual
-    for a, b in zip(first.steps, second.steps):
-        fa = dataclasses.astuple(a)
-        fb = dataclasses.astuple(b)
-        assert len(fa) == len(fb)
-        for x, y in zip(fa, fb):
-            if isinstance(x, float) and math.isnan(x):
-                assert math.isnan(y)
-            else:
-                assert x == y
+    assert len(first.steps) == len(second.steps)
+    assert all(_same_record(a, b) for a, b in zip(first.steps, second.steps))
 
 
 STEP_BYTES = """
@@ -156,6 +158,45 @@ def test_step_does_not_depend_on_blas_threads():
         digests.append(done.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [lambda: kanizsa_triangle(128, 128), ellipse_triangle, illusory_disk],
+    ids=["kanizsa-128", "ellipse-triangle", "disk"],
+)
+def test_predicted_start_keeps_the_plain_trajectory(make_mask):
+    # at the default tolerance the predicted start changes the work, not the result
+    mask = make_mask()
+    cfg = SolverConfig(model=default_model(mask))
+    z, report = run(mask, cfg)
+    z_plain, plain = plain_run(mask, cfg)
+    assert report.status == plain.status == "converged"
+    assert len(report.steps) == len(plain.steps)
+    energy, want = report.steps[-1].energy, plain.steps[-1].energy
+    assert abs(energy - want) <= 1e-12 * abs(want)
+    assert np.array_equal(extract_shape(z).inside, extract_shape(z_plain).inside)
+    slack = 1e-9 * (1.0 + report.steps[0].energy)
+    assert all(s.rho >= s.drop_bound - slack for s in report.steps[:-1])
+    assert max(max(-s.pre_clamp_min, s.pre_clamp_max - 1.0, 0.0) for s in report.steps) <= 1e-9
+    assert report.steps[0].theta == 0.0
+    assert any(s.theta != 0.0 for s in report.steps)
+    assert sum(s.cg_iters for s in report.steps) < sum(s.cg_iters for s in plain.steps)
+
+
+def test_loose_tolerance_keeps_the_plain_start_bitwise():
+    mask = kanizsa_triangle(64, 64)
+    cfg = SolverConfig(model=default_model(mask), cg=CgParams(rel_tol=1e-6))
+    z, report = run(mask, cfg)
+    z_plain, plain = plain_run(mask, cfg)
+    assert np.array_equal(z.values, z_plain.values)
+    assert len(report.steps) == len(plain.steps) > 1
+    assert all(_same_record(a, b) for a, b in zip(report.steps, plain.steps))
+    assert all(s.theta == 0.0 for s in report.steps)
+    assert report.el_residual == plain.el_residual
+    # from the tolerance rule's threshold on, the prediction runs
+    _, tight = run(mask, dataclasses.replace(cfg, cg=CgParams(rel_tol=1e-8)))
+    assert any(s.theta != 0.0 for s in tight.steps)
 
 
 def test_run_from_zero_field_stops_immediately(small_setup):
