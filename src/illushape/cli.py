@@ -174,19 +174,21 @@ def _write_energy_csv(path, report) -> None:
 
     lines = [
         "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,theta"
+        "drop_bound,pre_clamp_min,pre_clamp_max,theta,full_applications,reduced_applications"
     ]
     for s in report.steps:
         lines.append(
             f"{s.index},{fmt(s.energy)},{fmt(s.rho)},{fmt(s.rms_update)},"
             f"{s.cg_iters},{fmt(s.cg_residual)},{fmt(s.drop_bound)},"
-            f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{fmt(s.theta)}"
+            f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{fmt(s.theta)},"
+            f"{s.full_applications},{s.reduced_applications}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def run_command(argv=None) -> int:
-    """Run the solver on an image; exit 0 on convergence, 2 on budget, 1 on bad input."""
+    """Run the solver on an image; exit 0 on convergence, 2 on budget, 1 on bad input,
+    3 when the run's audit finds an energy rise or a step short of its drop bound."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -235,6 +237,7 @@ def run_command(argv=None) -> int:
         _write_energy_csv(out_dir / "energy.csv", report)
         geometry = mask.geometry
         last = report.steps[-1]
+        audit = report.audit()
         summary = {
             "input": str(args.input),
             "parameters": {
@@ -271,6 +274,11 @@ def run_command(argv=None) -> int:
             ),
             "component_count": components.count,
             "component_areas": components.areas,
+            "empty_shape": components.count == 0,
+            "cg_iterations": sum(s.cg_iters for s in report.steps),
+            "full_operator_applications": sum(s.full_applications for s in report.steps),
+            "reduced_operator_applications": sum(s.reduced_applications for s in report.steps),
+            "audit": audit,
             "elapsed_seconds": elapsed,
         }
         with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
@@ -288,6 +296,19 @@ def run_command(argv=None) -> int:
         f"energy {last.energy:.6g}, {components.count} component(s), "
         f"{elapsed:.2f}s"
     )
+    if components.count == 0:
+        print(
+            "illushape: warning: the shape is empty; the transition band may be too wide "
+            "for the figure, try a smaller --epsilon-factor",
+            file=sys.stderr,
+        )
+    if audit["energy_increases"] or audit["drop_bound_misses"]:
+        print(
+            f"illushape: audit failed: {audit['energy_increases']} energy increase(s), "
+            f"{audit['drop_bound_misses']} drop-bound miss(es)",
+            file=sys.stderr,
+        )
+        return 3
     return 0 if report.status == "converged" else 2
 
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DENSE_ORACLE_LIMIT = 4096
+RED, BLACK = 0, 1  # checkerboard colours: cells with i + j even, odd
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +60,15 @@ class CgParams:
 @dataclass(frozen=True)
 class CgStats:
     """Outcome of one solve; ``theta`` is the line-search step along a
-    predicted direction, 0 when none was given or it was rejected."""
+    predicted direction, 0 when none was given or it was rejected.
+    ``full_applications`` counts applications of the full operator A,
+    ``reduced_applications`` those of the reduced operator S."""
 
     iterations: int
     residual: float
     theta: float = 0.0
+    full_applications: int = 0
+    reduced_applications: int = 0
 
 
 class CgConvergenceError(RuntimeError):
@@ -104,6 +109,21 @@ class Operator:
     (mod W) wrap from the last cell of one row to the first of the next;
     both are rim cells, the coefficient there is zero, and the rim of every
     argument is zero anyway.  Built once per model, on its first solve.
+
+    The reduced solve splits the grid like a checkerboard into red cells
+    (i + j even) and black cells (i + j odd); the stencil couples every
+    cell only to cells of the other colour.  A colour's compact array holds
+    its cells of grid row i, left to right, in row i of an (H, ceil(W/2))
+    array, flattened; on odd widths every other row ends in a pad entry.
+    Black cell k then couples to red cells k, k - 1 (its west neighbour,
+    on odd rows only), k + 1 (its east neighbour, on even rows only), k - w
+    and k + w, with w = ceil(W/2).  Each such
+    coupling is stored once, indexed by the lower compact index of its two
+    cells like the flat faces: ``c_same`` (black k, red k), ``c_rb`` (red
+    k, black k + 1), ``c_br`` (black k, red k + 1), ``c_rbw`` (red k,
+    black k + w) and ``c_brw`` (black k, red k + w).  Every coupling that
+    touches the rim or a pad is zero, so rim and pad entries of a compact
+    argument never reach an interior one.
     """
 
     def __init__(self, p: ModelParams):
@@ -116,6 +136,35 @@ class Operator:
         np.multiply(gx, scale, out=cx.reshape(geom.shape)[:, :-1])
         self.cx = cx[:-1]
         self.cy = (gy * scale).ravel()
+
+        self.half = w = (geom.width + 1) // 2
+        # faces between two interior cells, each at the cell east or south of it,
+        # one direction at a time to keep the build's peak down
+        west = np.zeros((geom.height, geom.width + 1))
+        np.multiply(gx[1:-1, 1:-1], scale, out=west[1:-1, 2:-2])
+        cw, ce = self.split(west[:, :-1], BLACK), self.split(west[:, 1:], BLACK)
+        del west
+        north = np.zeros((geom.height + 1, geom.width))
+        np.multiply(gy[1:-1, 1:-1], scale, out=north[2:-2, 1:-1])
+        cn, cs = self.split(north[:-1], BLACK), self.split(north[1:], BLACK)
+        del north
+        same = ce.copy()
+        same[0::2] = cw[0::2]  # even rows: red cell k is the west neighbour
+        cw[0::2] = 0.0  # red k - 1 is west on odd rows only
+        ce[1::2] = 0.0  # red k + 1 is east on even rows only
+        self.c_same = same.ravel()
+        self.c_rb = cw.ravel()[1:]
+        self.c_br = ce.ravel()[:-1]
+        self.c_rbw = cn.ravel()[w:]
+        self.c_brw = cs.ravel()[:-w]
+        # the other four as (coupling, its black cells, its red cells), slices of
+        # the compact arrays: red k - 1, k + 1, k - w (north), k + w (south)
+        self.links = (
+            (self.c_rb, slice(1, None), slice(None, -1)),
+            (self.c_br, slice(None, -1), slice(1, None)),
+            (self.c_rbw, slice(w, None), slice(None, -w)),
+            (self.c_brw, slice(None, -w), slice(w, None)),
+        )
 
     def apply(self, z: np.ndarray, g: np.ndarray, out: np.ndarray, face: np.ndarray) -> None:
         """``out = A z`` for a flat zero-rim ``z``; ``face`` is scratch of length N - 1.
@@ -151,6 +200,56 @@ class Operator:
         out[:-w] += self.cy
         out[w:] += self.cy
 
+    def split(self, a: np.ndarray, colour: int) -> np.ndarray:
+        """The ``colour`` (``RED`` or ``BLACK``) cells of grid array ``a``, as a new
+        compact 2-D array with zero pads."""
+        out = np.zeros((self.shape[0], self.half))
+        for r in (0, 1):
+            cells = a[r::2, (r + colour) % 2 :: 2]
+            out[r::2, : cells.shape[1]] = cells
+        return out
+
+    def join(self, compact: np.ndarray, colour: int, out: np.ndarray) -> None:
+        """Write a flat compact array into the ``colour`` cells of grid array ``out``."""
+        compact = compact.reshape(self.shape[0], self.half)
+        for r in (0, 1):
+            cells = out[r::2, (r + colour) % 2 :: 2]
+            cells[...] = compact[r::2, : cells.shape[1]]
+
+    def to_black(self, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """``out = N_br y``: each black cell's couplings times its red neighbours' ``y``.
+
+        ``tmp`` is scratch.  Each sum runs west and east, then north, then south.
+        """
+        np.multiply(self.c_same, y, out=out)
+        for c, black, red in self.links:
+            np.multiply(c, y[red], out=tmp[black])
+            out[black] += tmp[black]
+
+    def to_red(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """``out = N_rb x``, the transpose of ``to_black``, in the same order."""
+        np.multiply(self.c_same, x, out=out)
+        west_east, north_of_black, south_of_black = self.links[:2], self.links[2], self.links[3]
+        for c, black, red in (*west_east, south_of_black, north_of_black):
+            np.multiply(c, x[black], out=tmp[red])
+            out[red] += tmp[red]
+
+    def reduced_diagonal(
+        self, d_black: np.ndarray, drinv: np.ndarray, out: np.ndarray, tmp: np.ndarray
+    ) -> None:
+        """``out`` = the diagonal of D_b - N_br D_r^-1 N_rb, given D_b and D_r^-1.
+
+        Each black cell's ``d_black`` less c^2 / D_r over its red neighbours,
+        summed in ``to_black``'s order; ``tmp`` is scratch.
+        """
+        np.multiply(self.c_same, self.c_same, out=out)
+        out *= drinv
+        for c, black, red in self.links:
+            np.multiply(c, c, out=tmp[black])
+            tmp[black] *= drinv[red]
+            out[black] += tmp[black]
+        np.subtract(d_black, out, out=out)
+
 
 def apply_operator(z: GridField, data: LinearizedData, p: ModelParams) -> GridField:
     """Matrix-free application of the symmetric positive definite operator.
@@ -173,19 +272,29 @@ def cg_solve(
     warm_start: GridField | None = None,
     direction: np.ndarray | None = None,
 ) -> tuple[GridField, CgStats]:
-    """Jacobi-preconditioned conjugate gradient solve of A z = f_n.
+    """Solve A z = f_n by Jacobi-preconditioned CG on the red-black reduced system.
 
     Stops when the relative residual drops to ``rel_tol``; a zero right-hand
-    side short-circuits to the zero field.  With a ``direction`` s (a
-    writable float array of the grid's shape, taken over as the search
-    direction buffer), the start x0 moves to x0 + theta s with theta =
-    r0's / s'As, the exact minimizer of the inner quadratic along s, so the
-    start is never worse in the A-norm; theta is 0 when s'As <= 0.  That
-    costs one matvec.  The loop works in place on flat buffers: the
-    right-hand side is written into the residual, the preconditioned
-    residual doubles as the operator's face scratch, and every reduction is
-    ``_dot``, so repeated solves are bit-identical whatever the BLAS thread
-    count.
+    side short-circuits to the zero field.  The start is set in the full
+    space.  With a ``direction`` s (a writable float array of the grid's
+    shape, taken over as scratch), the start x0 moves to x0 + theta s with
+    theta = r0's / s'As, the exact minimizer of the inner quadratic along s,
+    so the start is never worse in the A-norm; theta is 0 when s'As <= 0.
+    That costs one matvec.  A start that already meets the tolerance is
+    returned as it is.
+
+    Otherwise the red cells are eliminated: with A = [[D_r, -N_rb],
+    [-N_br, D_b]], CG solves the Schur complement S x_b = f_b + N_br D_r^-1
+    f_r, S = D_b - N_br D_r^-1 N_rb, on the black cells, preconditioned by
+    the exact diagonal of S, and the back-substitution x_r = D_r^-1 (f_r +
+    N_rb x_b) leaves no red residual.  The reduced residual is then the full
+    one, and S converges in about half the iterations of A, each on
+    half-length vectors.  The loop works in place on compact flat buffers,
+    the preconditioned residual doubling as the products' scratch, and every
+    reduction is ``_dot``, so repeated solves are bit-identical whatever the
+    BLAS thread count.  ``CgStats`` counts the full-space operator
+    applications and the reduced ones, the elimination and the
+    back-substitution together counting as one.
     """
     geom = data.f_n.geometry
     n = geom.cells
@@ -206,22 +315,15 @@ def cg_solve(
     # z is free whenever the operator runs, so its head is the face scratch
     z, ad = np.empty(n), np.empty(n)
     face = z[:-1]
-    minv = np.empty(n)
-    op.diagonal(g, out=ad)
-    # flat, because ufuncs on a 2-D interior view allocate iteration buffers
-    np.divide(1.0, ad, out=minv)
-    zero_rim(minv.reshape(geom.shape))
-
     op.apply(x, g, ad, face)
     r -= ad
-    theta = 0.0
-    if direction is None:
-        d = np.empty(n)
-    else:
+    theta, full, d = 0.0, 1, None
+    if direction is not None:
         if direction.shape != geom.shape:
             raise ValueError(f"direction {direction.shape} and grid {geom.shape} are different grids")
         d = zero_rim(direction).ravel()
         op.apply(d, g, ad, face)
+        full += 1
         sas = _dot(d, ad)
         if sas > 0.0:
             theta = _dot(r, d) / sas
@@ -231,34 +333,75 @@ def cg_solve(
             r -= z
     tol = cg.rel_tol * f_norm
     r_norm = math.sqrt(_dot(r, r))
+    del z, face
+    if r_norm <= tol:
+        del r, ad, d
+        return GridField(geom, x.reshape(geom.shape)), CgStats(0, r_norm / f_norm, theta, full)
+
+    # each full array is freed once split, so the compact ones take its place
+    op.diagonal(g, out=ad)
+    diag = zero_rim(ad.reshape(geom.shape))
+    db_diag = op.split(diag, BLACK).ravel()
+    drinv = op.split(diag, RED).ravel()
+    del ad, diag
+    np.divide(1.0, drinv, out=drinv, where=drinv > 0.0)  # rim and pad entries stay 0
+    rb = op.split(r.reshape(geom.shape), BLACK).ravel()
+    u = op.split(r.reshape(geom.shape), RED).ravel()
+    del r
+    xb = op.split(x.reshape(geom.shape), BLACK).ravel()
+    del x
+    m = len(rb)
+    q, zb, minv = np.empty(m), np.empty(m), np.zeros(m)
+    # the start's reduced residual r_b + N_br D_r^-1 r_r = f_b + N_br D_r^-1 f_r - S x_b
+    u *= drinv
+    op.to_black(u, q, zb)
+    rb += q
+    op.reduced_diagonal(db_diag, drinv, q, zb)
+    np.divide(1.0, q, out=minv, where=q > 0.0)  # rim and pad entries stay 0
+
+    r_norm = math.sqrt(_dot(rb, rb))
     k = 0
     if r_norm > tol:
-        np.multiply(minv, r, out=z)
-        np.copyto(d, z)
-        rz = _dot(r, z)
+        # the caller's direction is free by now, and holds the compact search direction
+        db = np.empty(m) if d is None else d[:m]
+        np.multiply(minv, rb, out=zb)
+        np.copyto(db, zb)
+        rz = _dot(rb, zb)
         while k < max_iters:
             k += 1
-            op.apply(d, g, ad, face)
-            alpha = rz / _dot(d, ad)
-            # z is free until the preconditioner refills it: use it for the updates
-            np.multiply(d, alpha, out=z)
-            x += z
-            np.multiply(ad, alpha, out=z)
-            r -= z
-            r_norm = math.sqrt(_dot(r, r))
+            # q = S db; zb is free until the preconditioner refills it
+            op.to_red(db, u, zb)
+            u *= drinv
+            op.to_black(u, q, zb)
+            np.multiply(db_diag, db, out=zb)
+            np.subtract(zb, q, out=q)
+            alpha = rz / _dot(db, q)
+            np.multiply(db, alpha, out=zb)
+            xb += zb
+            np.multiply(q, alpha, out=zb)
+            rb -= zb
+            r_norm = math.sqrt(_dot(rb, rb))
             if r_norm <= tol:
                 break
-            np.multiply(minv, r, out=z)
-            rz_next = _dot(r, z)
-            d *= rz_next / rz
-            d += z
+            np.multiply(minv, rb, out=zb)
+            rz_next = _dot(rb, zb)
+            db *= rz_next / rz
+            db += zb
             rz = rz_next
-    # freed before the result is copied out, so the copy does not raise the peak
-    del r, z, d, ad, minv, face
-    solution = GridField(geom, x.reshape(geom.shape))
+        del db
+    # back-substitute x_r = D_r^-1 (f_r + N_rb x_b), after freeing what it does not need
+    del rb, q, minv, db_diag, d
+    op.to_red(xb, u, zb)
+    u += op.split(data.f_n.values, RED).ravel()
+    u *= drinv
+    out = np.empty(geom.shape)
+    op.join(xb, BLACK, out)
+    op.join(u, RED, out)
+    del xb, u, zb, drinv
+    solution = GridField(geom, zero_rim(out))
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
-    return solution, CgStats(k, r_norm / f_norm, theta)
+    return solution, CgStats(k, r_norm / f_norm, theta, full, k + 1)
 
 
 def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:

@@ -40,6 +40,10 @@ __all__ = [
 # tolerances it shifts the final energy and the step count.
 PREDICT_MAX_TOL = 1e-8
 
+# Relative slack of the energy audit: a step may raise the energy, or drop it
+# short of its bound, by this much times 1 + the first energy (rounding).
+AUDIT_RTOL = 1e-9
+
 # Polynomial extrapolation of the next iterate from the last 2, 3 or 4
 # (newest first), minus the newest: linear, quadratic, cubic.
 _EXTRAPOLATION = {2: (1.0, -1.0), 3: (2.0, -3.0, 1.0), 4: (3.0, -6.0, 4.0, -1.0)}
@@ -73,13 +77,18 @@ class StepRecord:
     pre-clamp range, ``run`` the rest.  ``rho`` and ``drop_bound`` compare
     this iterate with its successor, so they stay NaN on the final record.
     ``theta`` is the inner solve's line-search step along the predicted
-    direction, 0 when no prediction ran."""
+    direction, 0 when no prediction ran.  ``cg_iters`` counts the inner
+    solve's iterations on the reduced system; ``full_applications`` and
+    ``reduced_applications`` its applications of the full and the reduced
+    operator."""
 
     cg_iters: int
     cg_residual: float
     pre_clamp_min: float
     pre_clamp_max: float
     theta: float = 0.0
+    full_applications: int = 0
+    reduced_applications: int = 0
     index: int = 0
     energy: float = math.nan
     rho: float = math.nan
@@ -95,6 +104,23 @@ class IterationReport:
 
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.steps])
+
+    def audit(self) -> dict:
+        """The run's guarantees, checked step by step.
+
+        Counts the energy rises and the steps whose energy drop ``rho``
+        falls short of ``drop_bound``, each beyond the slack
+        ``AUDIT_RTOL * (1 + E_1)`` with E_1 the first step's energy, and
+        gives the largest pre-clamp excursion outside [0, 1].
+        """
+        slack = AUDIT_RTOL * (1.0 + self.steps[0].energy)
+        return {
+            "energy_increases": int(np.sum(np.diff(self.energies()) > slack)),
+            "drop_bound_misses": sum(1 for s in self.steps[:-1] if not s.rho >= s.drop_bound - slack),
+            "range_excursion_max": max(
+                max(0.0, -s.pre_clamp_min, s.pre_clamp_max - 1.0) for s in self.steps
+            ),
+        }
 
 
 def default_model(
@@ -174,7 +200,10 @@ def step(
             f"= {10.0 * cfg.cg.rel_tol:.3e}"
         )
     clamped = np.clip(solution.values, 0.0, 1.0)
-    record = StepRecord(cg_stats.iterations, cg_stats.residual, pre_min, pre_max, cg_stats.theta)
+    record = StepRecord(
+        cg_stats.iterations, cg_stats.residual, pre_min, pre_max, cg_stats.theta,
+        cg_stats.full_applications, cg_stats.reduced_applications,
+    )
     return PhaseField(z_n.geometry, clamped), record
 
 

@@ -182,7 +182,7 @@ def test_run_command_end_to_end(tmp_path):
     lines = (out / "energy.csv").read_text().strip().splitlines()
     assert lines[0] == (
         "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,theta"
+        "drop_bound,pre_clamp_min,pre_clamp_max,theta,full_applications,reduced_applications"
     )
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     energies = [row[1] for row in rows]
@@ -201,6 +201,60 @@ def test_run_command_end_to_end(tmp_path):
     assert summary["parameters"]["alpha"] == 0.1
     assert summary["parameters"]["epsilon"] == pytest.approx(3.0 / 48.0)
     assert summary["final_energy"] == energies[-1]
+    # work totals: every solve applies the full operator for its start residual,
+    # once more for a predicted start, and the reduced one per iteration plus
+    # once for the elimination and back-substitution
+    assert summary["cg_iterations"] == sum(int(row[4]) for row in rows)
+    assert summary["full_operator_applications"] == sum(int(row[10]) for row in rows)
+    assert summary["reduced_operator_applications"] == sum(int(row[11]) for row in rows)
+    assert all(row[10] in (0.0, 1.0, 2.0) and row[11] in (0.0, row[4] + 1.0) for row in rows)
+    assert summary["empty_shape"] is (summary["component_count"] == 0)
+    assert summary["audit"]["energy_increases"] == 0
+    assert summary["audit"]["drop_bound_misses"] == 0
+    assert 0.0 <= summary["audit"]["range_excursion_max"] <= 1e-9
+
+
+def test_run_command_warns_on_empty_shape(tmp_path, capsys):
+    # at 64^2 the default band of 3h is too wide for the figure; 1.5h finds it
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(64, 64)))
+    for factor, empty in (("3", True), ("1.5", False)):
+        out = tmp_path / f"eps{factor}"
+        code = run_command(["--input", str(path), "--out-dir", str(out), "--epsilon-factor", factor])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["empty_shape"] is empty
+        assert (summary["component_count"] == 0) is empty
+        err = capsys.readouterr().err
+        if empty:
+            assert len(err.splitlines()) == 1 and "--epsilon-factor" in err
+        else:
+            assert err == ""
+
+
+def test_run_command_audit_exits_3_on_energy_rise(tmp_path, monkeypatch, capsys):
+    from illushape import solver
+
+    real_total_energy = solver.total_energy
+    calls = []
+
+    def rising_total_energy(z, p):
+        calls.append(None)
+        return real_total_energy(z, p) + (1.0 if len(calls) == 3 else 0.0)
+
+    monkeypatch.setattr(solver, "total_energy", rising_total_energy)
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(48, 48)))
+    out = tmp_path / "run"
+    code = run_command(["--input", str(path), "--out-dir", str(out), "--max-outer", "6"])
+    assert code == 3
+    summary = json.loads((out / "summary.json").read_text())
+    # step 3 rises above step 2, so step 2 also falls short of its drop bound
+    assert summary["audit"]["energy_increases"] == 1
+    assert summary["audit"]["drop_bound_misses"] == 1
+    assert summary["status"] == "max_outer_reached"
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("illushape: audit failed: 1 energy increase")
 
 
 def test_run_command_budget_exit_code(tmp_path):

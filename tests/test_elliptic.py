@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from illushape import (
     total_energy,
 )
 from illushape import energy
+from illushape.grid import zero_rim
 
 from helpers import (
     face_coefficients,
@@ -27,7 +29,7 @@ from helpers import (
     random_instance,
     random_model,
     random_phase,
-    textbook_pcg,
+    textbook_reduced_pcg,
 )
 
 
@@ -140,16 +142,16 @@ def test_cg_matches_textbook_pcg_bitwise():
         for _ in range(10):
             data, p = random_instance(geom, rng)
             cg = CgParams(rel_tol=float(rng.choice([1e-6, 1e-10])))
-            assert_same_solve(cg_solve(data, p, cg), textbook_pcg(data, p, cg))
+            assert_same_solve(cg_solve(data, p, cg), textbook_reduced_pcg(data, p, cg))
             warm = zero_rim_field(geom, rng, 0.0, 1.0)
+            expected = textbook_reduced_pcg(data, p, cg, warm_start=warm)
+            assert_same_solve(cg_solve(data, p, cg, warm_start=warm), expected)
+            # a zero direction gives theta = 0: the plain warm start, bit for bit,
+            # for one more full-space operator application
+            x, stats = cg_solve(data, p, cg, warm_start=warm, direction=np.zeros(geom.shape))
             assert_same_solve(
-                cg_solve(data, p, cg, warm_start=warm),
-                textbook_pcg(data, p, cg, warm_start=warm),
-            )
-            # a zero direction gives theta = 0: the plain warm start, bit for bit
-            assert_same_solve(
-                cg_solve(data, p, cg, warm_start=warm, direction=np.zeros(geom.shape)),
-                textbook_pcg(data, p, cg, warm_start=warm),
+                (x, dataclasses.replace(stats, full_applications=stats.full_applications - 1)),
+                expected,
             )
 
 
@@ -233,6 +235,23 @@ def test_cg_matches_dense_oracle():
         solution, _ = cg_solve(data, p, CgParams())
         reference = dense_solve_oracle(data, p)
         assert np.abs(solution.values - reference.values).max() <= 1e-8
+
+
+def test_reduced_cg_on_small_and_odd_grids():
+    # odd widths pad every other compact row; 3x3 has no black interior cell
+    rng = np.random.default_rng(67)
+    for width, height in ((3, 3), (4, 3), (3, 4), (5, 4), (9, 14), (14, 9), (13, 8)):
+        geom = GridGeometry(width, height)
+        for _ in range(5):
+            data, p = random_instance(geom, rng)
+            reference = dense_solve_oracle(data, p)
+            f = zero_rim(data.f_n.values.copy())
+            for warm in (None, zero_rim_field(geom, rng, 0.0, 1.0)):
+                solution, stats = cg_solve(data, p, CgParams(), warm_start=warm)
+                assert np.abs(solution.values - reference.values).max() <= 1e-8
+                r = f - apply_operator(solution, data, p).values
+                assert np.linalg.norm(r) <= CgParams().rel_tol * np.linalg.norm(f)
+                assert stats.residual <= CgParams().rel_tol
 
 
 def test_cg_warm_start_at_solution_takes_no_iterations():
@@ -328,7 +347,7 @@ def test_cg_budget_exhaustion_raises_with_best_iterate():
         assert err.value.best.values.shape == geom.shape
         # the same iterate, bit for bit, as the textbook loop when it runs out
         with pytest.raises(CgConvergenceError) as ref:
-            textbook_pcg(data, p, cg, warm_start=warm)
+            textbook_reduced_pcg(data, p, cg, warm_start=warm)
         assert err.value.residual == ref.value.residual
         assert np.array_equal(err.value.best.values.view(np.uint64), ref.value.best.values.view(np.uint64))
 
