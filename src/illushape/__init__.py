@@ -20,6 +20,7 @@ from .elliptic import (
     CgParams,
     CgStats,
     LinearizedData,
+    StartSubspace,
     apply_operator,
     cg_solve,
     dense_matrix,
@@ -72,6 +73,7 @@ __all__ = [
     "RangePreservationError",
     "ShapeMask",
     "SolverConfig",
+    "StartSubspace",
     "StepRecord",
     "apply_operator",
     "build_canyon",

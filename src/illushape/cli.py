@@ -160,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold", type=float, default=0.5, help="shape threshold")
     parser.add_argument("--presmooth", type=int, default=0, help="heat steps applied to the initial guess")
     parser.add_argument("--snapshot-every", type=int, default=0, help="write snap_NNNNNN.pgm every N iterations")
+    parser.add_argument("--progress", type=int, default=0, help="write a JSON progress line to stderr every N iterations")
     parser.add_argument("--invert", action="store_true", help="treat light pixels as inducers")
     parser.add_argument("--bin-threshold", type=int, default=128, help="binarization luminance threshold on the 0-255 scale")
     return parser
@@ -174,13 +175,13 @@ def _write_energy_csv(path, report) -> None:
 
     lines = [
         "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,theta,full_applications,reduced_applications"
+        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications"
     ]
     for s in report.steps:
         lines.append(
             f"{s.index},{fmt(s.energy)},{fmt(s.rho)},{fmt(s.rms_update)},"
             f"{s.cg_iters},{fmt(s.cg_residual)},{fmt(s.drop_bound)},"
-            f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{fmt(s.theta)},"
+            f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{s.start_rank},"
             f"{s.full_applications},{s.reduced_applications}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -216,6 +217,8 @@ def run_command(argv=None) -> int:
         )
         if not (0.0 < args.threshold < 1.0):
             raise ValueError("threshold must lie strictly between 0 and 1")
+        if args.progress < 0:
+            raise ValueError("--progress must be nonnegative")
     except (OSError, ValueError) as exc:
         print(f"illushape: {exc}", file=sys.stderr)
         return 1
@@ -225,10 +228,30 @@ def run_command(argv=None) -> int:
     def sink(iteration: int, field: PhaseField) -> None:
         save_field_image(field, out_dir / f"snap_{iteration:06d}.pgm")
 
+    cg_iters = 0
+
+    def progress(record) -> None:
+        nonlocal cg_iters
+        cg_iters += record.cg_iters
+        if record.index % args.progress == 0:
+            line = {
+                "step": record.index,
+                "energy": record.energy,
+                "rms_update": record.rms_update,
+                "cg_iters": cg_iters,
+                "elapsed_s": time.perf_counter() - t0,
+            }
+            print(json.dumps(line), file=sys.stderr, flush=True)
+
     t0 = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        final, report = run(mask, cfg, snapshot_sink=sink if args.snapshot_every else None)
+        final, report = run(
+            mask,
+            cfg,
+            snapshot_sink=sink if args.snapshot_every else None,
+            step_sink=progress if args.progress else None,
+        )
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)
         components = connected_components(shape)
@@ -272,6 +295,9 @@ def run_command(argv=None) -> int:
             "sqrt_rho_partial_sum": float(
                 sum(math.sqrt(max(s.rho, 0.0)) for s in report.steps if not math.isnan(s.rho))
             ),
+            # median ratio of successive energy drops over the last 20 steps;
+            # below 1 when the run was closing in; a diagnostic, never asserted
+            "rho_ratio": report.rho_ratio(),
             "component_count": components.count,
             "component_areas": components.areas,
             "empty_shape": components.count == 0,

@@ -26,6 +26,7 @@ __all__ = [
     "linearize",
     "apply_operator",
     "cg_solve",
+    "StartSubspace",
     "dense_matrix",
     "dense_solve_oracle",
     "DENSE_ORACLE_LIMIT",
@@ -33,6 +34,10 @@ __all__ = [
 
 DENSE_ORACLE_LIMIT = 4096
 RED, BLACK = 0, 1  # checkerboard colours: cells with i + j even, odd
+
+# The projected start keeps the directions of the Jacobi-scaled Galerkin
+# matrix whose eigenvalues exceed this much of its largest.
+RANK_RTOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +64,15 @@ class CgParams:
 
 @dataclass(frozen=True)
 class CgStats:
-    """Outcome of one solve; ``theta`` is the line-search step along a
-    predicted direction, 0 when none was given or it was rejected.
-    ``full_applications`` counts applications of the full operator A,
-    ``reduced_applications`` those of the reduced operator S."""
+    """Outcome of one solve; ``start_rank`` is the number of subspace
+    directions the projected start kept, 0 when none ran or it was rejected.
+    ``full_applications`` counts applications of the full operator A (and of
+    its diffusion part L), ``reduced_applications`` those of the reduced
+    operator S."""
 
     iterations: int
     residual: float
-    theta: float = 0.0
+    start_rank: int = 0
     full_applications: int = 0
     reduced_applications: int = 0
 
@@ -86,7 +92,7 @@ class CgConvergenceError(RuntimeError):
 
 def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     """Coefficients of the inner linear problem frozen at iterate z_n."""
-    g = _surrogate_weight(z_n, p) + p.lam * p.mask.indicator()
+    g = _surrogate_weight(z_n, p) + p.lam * p.indicator
     f = 3.0 * p.canyon.values * np.square(z_n.values)
     return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
 
@@ -166,15 +172,21 @@ class Operator:
             (self.c_brw, slice(None, -w), slice(w, None)),
         )
 
-    def apply(self, z: np.ndarray, g: np.ndarray, out: np.ndarray, face: np.ndarray) -> None:
+    def apply(
+        self, z: np.ndarray, g: np.ndarray | None, out: np.ndarray, face: np.ndarray
+    ) -> None:
         """``out = A z`` for a flat zero-rim ``z``; ``face`` is scratch of length N - 1.
 
         The output rim is zeroed.  Each cell takes its reaction term, then
         its east, west, south and north fluxes, the order of the 2-D flux
-        form, so the two agree bit for bit.
+        form, so the two agree bit for bit.  Without a reaction coefficient
+        ``g`` this is the diffusion part L alone.
         """
         w = self.width
-        np.multiply(g, z, out=out)
+        if g is None:
+            out.fill(0.0)
+        else:
+            np.multiply(g, z, out=out)
         fx = face
         np.subtract(z[1:], z[:-1], out=fx)
         fx *= self.cx
@@ -251,6 +263,79 @@ class Operator:
         np.subtract(d_black, out, out=out)
 
 
+class StartSubspace:
+    """The last ``size`` iterate differences of an outer run, for ``cg_solve``'s start.
+
+    The differences are held flat with a zero rim, one per row of a (size, N)
+    array: row i holds the i-th one pushed until the ring is full, and then
+    each push overwrites the oldest.  The inner operator is A_n = L +
+    diag(g_n), and L, the model's diffusion part, is the same at every step,
+    so the Gram d_i'L d_j is kept here: a new difference costs one
+    application of L, on the next solve, and only d_i' diag(g_n) d_j is
+    recomputed per step.
+    """
+
+    def __init__(self, size: int):
+        if size <= 0:
+            raise ValueError("size must be positive")
+        self.size = size
+        self.diffs: np.ndarray | None = None
+        self.count = 0
+        self.head = 0  # the row the next push writes
+        self.l_gram = np.zeros((size, size))
+        self.stale: list[int] = []  # rows whose L-Gram entries are yet to be computed
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The differences held, one flat array per row."""
+        return self.diffs[: self.count]
+
+    def push(self, new: np.ndarray, old) -> None:
+        """Enter ``new - old`` for a grid array ``new`` (the rim is zeroed)."""
+        if self.diffs is None:
+            self.diffs = np.empty((self.size, new.size))
+        row = self.diffs[self.head].reshape(new.shape)  # raises on another grid size
+        zero_rim(np.subtract(new, old, out=row))
+        if self.head not in self.stale:
+            self.stale.append(self.head)
+        self.head = (self.head + 1) % self.size
+        self.count = min(self.count + 1, self.size)
+
+    def galerkin(
+        self, op: Operator, g: np.ndarray, r: np.ndarray, work: np.ndarray, face: np.ndarray
+    ) -> tuple[np.ndarray, int, int]:
+        """theta of the best start x0 + D theta in the A-norm, its rank, and the
+        applications of L it took.
+
+        theta solves (D'AD) theta = D'r, r = f - A x0 the residual at x0, on
+        the eigenvectors of the Jacobi-scaled Gram whose eigenvalues exceed
+        ``RANK_RTOL`` times the largest; the rank counts those.  ``work``
+        (length N) and ``face`` (N - 1) are scratch.  The inner products go
+        through ``np.einsum``; only the small system uses ``numpy.linalg``.
+        """
+        rows = self.rows
+        k = len(rows)
+        applied = len(self.stale)
+        for i in self.stale:
+            op.apply(rows[i], None, work, face)
+            self.l_gram[i, :k] = self.l_gram[:k, i] = np.einsum("n,jn->j", work, rows)
+        self.stale.clear()
+        gram = self.l_gram[:k, :k].copy()
+        for i in range(k):
+            np.multiply(g, rows[i], out=work)
+            gram[i, i:] += np.einsum("n,jn->j", work, rows[i:])
+            gram[i + 1 :, i] = gram[i, i + 1 :]
+        diag = np.diagonal(gram)
+        scale = np.zeros(k)  # a zero difference keeps a zero row and column
+        scale[diag > 0.0] = 1.0 / np.sqrt(diag[diag > 0.0])
+        lam, v = np.linalg.eigh(gram * np.outer(scale, scale))
+        keep = lam > RANK_RTOL * lam[-1]
+        v = v[:, keep]
+        rhs = scale * np.einsum("n,jn->j", r, rows)
+        theta = scale * (v @ ((v.T @ rhs) / lam[keep]))
+        return theta, int(keep.sum()), applied
+
+
 def apply_operator(z: GridField, data: LinearizedData, p: ModelParams) -> GridField:
     """Matrix-free application of the symmetric positive definite operator.
 
@@ -270,18 +355,18 @@ def cg_solve(
     p: ModelParams,
     cg: CgParams = CgParams(),
     warm_start: GridField | None = None,
-    direction: np.ndarray | None = None,
+    subspace: StartSubspace | None = None,
 ) -> tuple[GridField, CgStats]:
     """Solve A z = f_n by Jacobi-preconditioned CG on the red-black reduced system.
 
     Stops when the relative residual drops to ``rel_tol``; a zero right-hand
     side short-circuits to the zero field.  The start is set in the full
-    space.  With a ``direction`` s (a writable float array of the grid's
-    shape, taken over as scratch), the start x0 moves to x0 + theta s with
-    theta = r0's / s'As, the exact minimizer of the inner quadratic along s,
-    so the start is never worse in the A-norm; theta is 0 when s'As <= 0.
-    That costs one matvec.  A start that already meets the tolerance is
-    returned as it is.
+    space.  With a nonempty ``subspace`` D, the start x0 moves to x0 + s, s =
+    D theta, the best point of x0 + span(D) in the A-norm (``StartSubspace.
+    galerkin``), when s lowers the inner quadratic x'Ax/2 - f'x, that is
+    when s'As/2 < s'r0 with r0 = f - A x0; otherwise it stays at x0.  That
+    costs one application of A, one of L per new difference, and no grid
+    array.  A start that already meets the tolerance is returned as it is.
 
     Otherwise the red cells are eliminated: with A = [[D_r, -N_rb],
     [-N_br, D_b]], CG solves the Schur complement S x_b = f_b + N_br D_r^-1
@@ -304,39 +389,50 @@ def cg_solve(
     f_norm = math.sqrt(_dot(r, r))
     if f_norm == 0.0:
         return GridField.zeros(geom), CgStats(0, 0.0)
-
-    if warm_start is None:
-        x = np.zeros(n)
-    else:
+    if warm_start is not None:
         require_same_geometry(warm_start, data.f_n)
-        x = zero_rim(warm_start.values.copy()).ravel()
+    if subspace is not None and subspace.count and subspace.rows.shape[1] != n:
+        raise ValueError(f"subspace of {subspace.rows.shape[1]} cells and grid {geom.shape} are different grids")
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     # z is free whenever the operator runs, so its head is the face scratch
-    z, ad = np.empty(n), np.empty(n)
+    x, z, ad = np.empty(n), np.empty(n), np.empty(n)
     face = z[:-1]
+    x0 = 0.0 if warm_start is None else warm_start.values.ravel()
+
+    def start(step=None) -> None:
+        """x = x0, the warm start or zero, plus ``step`` if given, with its rim zeroed."""
+        if step is None:
+            np.copyto(x, x0)
+        else:
+            np.add(x0, step, out=x)
+        zero_rim(x.reshape(geom.shape))
+
+    start()
     op.apply(x, g, ad, face)
     r -= ad
-    theta, full, d = 0.0, 1, None
-    if direction is not None:
-        if direction.shape != geom.shape:
-            raise ValueError(f"direction {direction.shape} and grid {geom.shape} are different grids")
-        d = zero_rim(direction).ravel()
-        op.apply(d, g, ad, face)
-        full += 1
-        sas = _dot(d, ad)
-        if sas > 0.0:
-            theta = _dot(r, d) / sas
-            np.multiply(d, theta, out=z)
-            x += z
-            np.multiply(ad, theta, out=z)
-            r -= z
+    rank, full = 0, 1
+    if subspace is not None and subspace.count:
+        rows = subspace.rows
+        theta, rank, applied = subspace.galerkin(op, g, r, ad, face)
+        full += applied
+        if rank:
+            # the step s = D theta in ad, and A s in x until x0 + s replaces it
+            np.einsum("j,jn->n", theta, rows, out=ad)
+            op.apply(ad, g, x, face)
+            full += 1
+            if 0.5 * _dot(ad, x) < _dot(ad, r):  # s lowers the quadratic
+                r -= x
+                start(ad)
+            else:
+                start()
+                rank = 0
     tol = cg.rel_tol * f_norm
     r_norm = math.sqrt(_dot(r, r))
     del z, face
     if r_norm <= tol:
-        del r, ad, d
-        return GridField(geom, x.reshape(geom.shape)), CgStats(0, r_norm / f_norm, theta, full)
+        del r, ad
+        return GridField(geom, x.reshape(geom.shape)), CgStats(0, r_norm / f_norm, rank, full)
 
     # each full array is freed once split, so the compact ones take its place
     op.diagonal(g, out=ad)
@@ -362,10 +458,8 @@ def cg_solve(
     r_norm = math.sqrt(_dot(rb, rb))
     k = 0
     if r_norm > tol:
-        # the caller's direction is free by now, and holds the compact search direction
-        db = np.empty(m) if d is None else d[:m]
         np.multiply(minv, rb, out=zb)
-        np.copyto(db, zb)
+        db = zb.copy()
         rz = _dot(rb, zb)
         while k < max_iters:
             k += 1
@@ -390,7 +484,7 @@ def cg_solve(
             rz = rz_next
         del db
     # back-substitute x_r = D_r^-1 (f_r + N_rb x_b), after freeing what it does not need
-    del rb, q, minv, db_diag, d
+    del rb, q, minv, db_diag
     op.to_red(xb, u, zb)
     u += op.split(data.f_n.values, RED).ravel()
     u *= drinv
@@ -401,7 +495,7 @@ def cg_solve(
     solution = GridField(geom, zero_rim(out))
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
-    return solution, CgStats(k, r_norm / f_norm, theta, full, k + 1)
+    return solution, CgStats(k, r_norm / f_norm, rank, full, k + 1)
 
 
 def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:

@@ -76,6 +76,13 @@ class ModelParams:
         return gx, gy
 
     @cached_property
+    def indicator(self) -> np.ndarray:
+        """Read-only 0/1 float indicator of the inducers, built on first use."""
+        chi = self.mask.indicator()
+        chi.setflags(write=False)
+        return chi
+
+    @cached_property
     def operator(self):
         """The elliptic operator's face coefficients, built on the first solve."""
         from .elliptic import Operator  # elliptic builds on this module
@@ -122,7 +129,7 @@ def total_energy(z: PhaseField, p: ModelParams) -> float:
     grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
     cell_scale = h * h / (2.0 * p.epsilon)
     well = cell_scale * float(np.sum(p.canyon.values * double_well(zv)))
-    pin = p.lam * cell_scale * float(np.sum(p.mask.indicator() * zv * zv))
+    pin = p.lam * cell_scale * float(np.sum(p.indicator * zv * zv))
     return grad + well + pin
 
 
@@ -145,7 +152,7 @@ def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
     cell_scale = h * h / (2.0 * p.epsilon)
     cell = cell_scale * float(np.sum(weight * np.square(zv - target)))
-    pin = p.lam * cell_scale * float(np.sum(p.mask.indicator() * zv * zv))
+    pin = p.lam * cell_scale * float(np.sum(p.indicator * zv * zv))
     return grad + cell + pin
 
 
@@ -165,7 +172,7 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     grad = p.epsilon * _face_form(zv, uv, p)
     cell_scale = h * h / p.epsilon
     cell = cell_scale * float(np.sum(weight * (zv - target) * uv))
-    pin = p.lam * cell_scale * float(np.sum(p.mask.indicator() * zv * uv))
+    pin = p.lam * cell_scale * float(np.sum(p.indicator * zv * uv))
     return grad + cell + pin
 
 

@@ -10,14 +10,12 @@ energy, range preservation, stationarity) are observable from the report.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
-from .elliptic import CgParams, apply_operator, cg_solve, linearize
+from .elliptic import CgParams, StartSubspace, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
 from .grid import heat_step, require_same_geometry, rms_diff, zero_rim
 
@@ -35,18 +33,17 @@ __all__ = [
 ]
 
 
-# The predicted CG start runs only at inner tolerances this tight or tighter;
+# The projected CG start runs only at inner tolerances this tight or tighter;
 # there the start leaves no trace in the outer trajectory, while at looser
 # tolerances it shifts the final energy and the step count.
 PREDICT_MAX_TOL = 1e-8
 
+# The projected start searches the span of this many last iterate differences.
+START_DIRECTIONS = 6
+
 # Relative slack of the energy audit: a step may raise the energy, or drop it
 # short of its bound, by this much times 1 + the first energy (rounding).
 AUDIT_RTOL = 1e-9
-
-# Polynomial extrapolation of the next iterate from the last 2, 3 or 4
-# (newest first), minus the newest: linear, quadratic, cubic.
-_EXTRAPOLATION = {2: (1.0, -1.0), 3: (2.0, -3.0, 1.0), 4: (3.0, -6.0, 4.0, -1.0)}
 
 
 class RangePreservationError(RuntimeError):
@@ -76,8 +73,8 @@ class StepRecord:
     """One outer iteration.  ``step`` sets the inner-solver outcome and the
     pre-clamp range, ``run`` the rest.  ``rho`` and ``drop_bound`` compare
     this iterate with its successor, so they stay NaN on the final record.
-    ``theta`` is the inner solve's line-search step along the predicted
-    direction, 0 when no prediction ran.  ``cg_iters`` counts the inner
+    ``start_rank`` is the number of directions the inner solve's projected
+    start kept, 0 when no start ran.  ``cg_iters`` counts the inner
     solve's iterations on the reduced system; ``full_applications`` and
     ``reduced_applications`` its applications of the full and the reduced
     operator."""
@@ -86,7 +83,7 @@ class StepRecord:
     cg_residual: float
     pre_clamp_min: float
     pre_clamp_max: float
-    theta: float = 0.0
+    start_rank: int = 0
     full_applications: int = 0
     reduced_applications: int = 0
     index: int = 0
@@ -121,6 +118,17 @@ class IterationReport:
                 max(0.0, -s.pre_clamp_min, s.pre_clamp_max - 1.0) for s in self.steps
             ),
         }
+
+    def rho_ratio(self) -> float | None:
+        """Observed contraction of the energy drops near the end of the run.
+
+        The median of rho_{n+1} / rho_n over consecutive pairs among the last
+        20 drops (the final step has none) where both drops are positive;
+        None with fewer than two such pairs.  A diagnostic only.
+        """
+        rhos = [s.rho for s in self.steps[:-1]][-20:]
+        ratios = [b / a for a, b in zip(rhos, rhos[1:]) if a > 0.0 and b > 0.0]
+        return float(np.median(ratios)) if len(ratios) >= 2 else None
 
 
 def default_model(
@@ -175,12 +183,12 @@ def presmooth(z0: PhaseField, steps: int) -> PhaseField:
 
 
 def step(
-    z_n: PhaseField, cfg: SolverConfig, direction: np.ndarray | None = None
+    z_n: PhaseField, cfg: SolverConfig, subspace: StartSubspace | None = None
 ) -> tuple[PhaseField, StepRecord]:
     """One outer update: linearize at z_n, solve, clamp to [0, 1].
 
-    ``direction`` is passed to ``cg_solve``, which takes it over: the inner
-    solve then starts from the best point of z_n + theta * direction.
+    ``subspace`` is passed to ``cg_solve``: the inner solve then starts from
+    the best point of z_n + span(subspace) in the inner operator's norm.
 
     The exact inner solution of an iterate in [0, 1] stays in [0, 1]; the
     finite solver tolerance may overshoot by a sliver, which is clamped.  An
@@ -188,7 +196,7 @@ def step(
     raises instead of being silently clamped away.
     """
     data = linearize(z_n, cfg.model)
-    solution, cg_stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, direction=direction)
+    solution, cg_stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, subspace=subspace)
     pre_min = float(solution.values.min())
     pre_max = float(solution.values.max())
     zn_min = float(z_n.values.min())
@@ -201,21 +209,10 @@ def step(
         )
     clamped = np.clip(solution.values, 0.0, 1.0)
     record = StepRecord(
-        cg_stats.iterations, cg_stats.residual, pre_min, pre_max, cg_stats.theta,
+        cg_stats.iterations, cg_stats.residual, pre_min, pre_max, cg_stats.start_rank,
         cg_stats.full_applications, cg_stats.reduced_applications,
     )
     return PhaseField(z_n.geometry, clamped), record
-
-
-def _predicted_direction(history: deque) -> np.ndarray | None:
-    """Extrapolated next iterate minus the newest, from the iterates so far."""
-    coeffs = _EXTRAPOLATION.get(len(history))
-    if coeffs is None:
-        return None
-    s = coeffs[0] * history[0]
-    for c, z in zip(coeffs[1:], islice(history, 1, None)):
-        s += c * z
-    return s
 
 
 def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
@@ -231,30 +228,32 @@ def run(
     cfg: SolverConfig,
     snapshot_sink=None,
     initial: PhaseField | None = None,
+    step_sink=None,
 ) -> tuple[PhaseField, IterationReport]:
     """Iterate until the RMS update drops below delta or the budget runs out.
 
     ``initial`` overrides the null-hypothesis start (testing hook).  When a
     sink is given and ``snapshot_every`` is positive, the sink receives
     ``(iteration, field)`` every that many steps; fields are read-only.
+    ``step_sink``, when given, receives every step's record once its energy
+    and update are set.
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
 
     When ``cfg.cg.rel_tol <= PREDICT_MAX_TOL``, each inner solve after the
-    first starts from a prediction: the last four iterates (fewer while
-    the run is young) are extrapolated, and ``cg_solve`` line-searches
-    along the extrapolation from z_n.
+    first starts from a projection: the last ``START_DIRECTIONS`` iterate
+    differences (fewer while the run is young) span a subspace, and
+    ``cg_solve`` starts from the best point of z_n plus that span.
     """
     z = initial if initial is not None else null_hypothesis(mask)
     require_same_geometry(z, cfg.model)
     if cfg.presmooth_steps:
         z = presmooth(z, cfg.presmooth_steps)
 
-    # a history of one iterate predicts nothing
-    history = deque([z.values], maxlen=4 if cfg.cg.rel_tol <= PREDICT_MAX_TOL else 1)
+    ring = StartSubspace(START_DIRECTIONS) if cfg.cg.rel_tol <= PREDICT_MAX_TOL else None
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
-        z_next, record = step(z, cfg, _predicted_direction(history))
+        z_next, record = step(z, cfg, ring)
         record.index = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)
@@ -263,8 +262,11 @@ def run(
             prev.rho = prev.energy - record.energy
             prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
         report.steps.append(record)
+        if step_sink is not None:
+            step_sink(record)
+        if ring is not None:
+            ring.push(z_next.values, z.values)
         z = z_next
-        history.appendleft(z.values)
         if snapshot_sink is not None and cfg.snapshot_every and n % cfg.snapshot_every == 0:
             snapshot_sink(n, z)
         if record.rms_update <= cfg.delta:

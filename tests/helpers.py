@@ -215,10 +215,10 @@ def textbook_reduced_pcg(
 
 
 def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
-    """``solver.run`` with every inner solve started at z_n, never at a prediction.
+    """``solver.run`` with every inner solve started at z_n, never at a projection.
 
-    The reference for the predicted start: the same loop and bookkeeping,
-    calling ``step`` without a direction.
+    The reference for the projected start: the same loop and bookkeeping,
+    calling ``step`` without a subspace.
     """
     z = presmooth(null_hypothesis(mask), cfg.presmooth_steps)
     report = IterationReport()

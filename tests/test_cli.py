@@ -182,7 +182,7 @@ def test_run_command_end_to_end(tmp_path):
     lines = (out / "energy.csv").read_text().strip().splitlines()
     assert lines[0] == (
         "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,theta,full_applications,reduced_applications"
+        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications"
     )
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     energies = [row[1] for row in rows]
@@ -192,8 +192,10 @@ def test_run_command_end_to_end(tmp_path):
     assert all(row[2] >= row[6] - slack for row in rows[:-1])
     assert math.isnan(rows[-1][2]) and math.isnan(rows[-1][6])
     assert all(-1e-9 <= row[7] <= row[8] <= 1.0 + 1e-9 for row in rows)
-    # the first inner solve has no earlier iterates to predict from
-    assert rows[0][9] == 0.0 and any(row[9] != 0.0 for row in rows)
+    # the first inner solve has no earlier iterates to start from, and the
+    # ring holds at most six differences
+    assert rows[0][9] == 0.0 and any(row[9] > 0.0 for row in rows)
+    assert all(row[9] in range(7) for row in rows)
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
@@ -202,12 +204,14 @@ def test_run_command_end_to_end(tmp_path):
     assert summary["parameters"]["epsilon"] == pytest.approx(3.0 / 48.0)
     assert summary["final_energy"] == energies[-1]
     # work totals: every solve applies the full operator for its start residual,
-    # once more for a predicted start, and the reduced one per iteration plus
+    # its diffusion part once to the ring's newest difference and the full one
+    # once more to a projected step, and the reduced one per iteration plus
     # once for the elimination and back-substitution
     assert summary["cg_iterations"] == sum(int(row[4]) for row in rows)
     assert summary["full_operator_applications"] == sum(int(row[10]) for row in rows)
     assert summary["reduced_operator_applications"] == sum(int(row[11]) for row in rows)
-    assert all(row[10] in (0.0, 1.0, 2.0) and row[11] in (0.0, row[4] + 1.0) for row in rows)
+    assert all(row[10] in (0.0, 1.0, 2.0, 3.0) and row[11] in (0.0, row[4] + 1.0) for row in rows)
+    assert all(row[10] == 3.0 for row in rows if row[9] > 0.0)
     assert summary["empty_shape"] is (summary["component_count"] == 0)
     assert summary["audit"]["energy_increases"] == 0
     assert summary["audit"]["drop_bound_misses"] == 0
@@ -230,6 +234,59 @@ def test_run_command_warns_on_empty_shape(tmp_path, capsys):
             assert len(err.splitlines()) == 1 and "--epsilon-factor" in err
         else:
             assert err == ""
+
+
+def test_run_command_progress_lines(tmp_path, capsys):
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(64, 64)))
+    base = ["--input", str(path), "--epsilon-factor", "1.5"]
+    assert run_command(base + ["--out-dir", str(tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert run_command(base + ["--out-dir", str(tmp_path / "loud"), "--progress", "10"]) == 0
+    loud = capsys.readouterr()
+    # stdout differs only in its wall time, the outputs only in theirs
+    assert loud.out.rsplit(",", 1)[0] == quiet.out.rsplit(",", 1)[0]
+    csv = (tmp_path / "loud" / "energy.csv").read_bytes()
+    assert csv == (tmp_path / "quiet" / "energy.csv").read_bytes()
+    summaries = [json.loads((tmp_path / d / "summary.json").read_text()) for d in ("quiet", "loud")]
+    for summary in summaries:
+        del summary["elapsed_seconds"], summary["input"]
+    assert summaries[0] == summaries[1]
+
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    lines = [json.loads(line) for line in loud.err.splitlines()]
+    assert len(lines) == len(rows) // 10 > 0
+    elapsed = 0.0
+    for k, line in enumerate(lines, start=1):
+        assert sorted(line) == ["cg_iters", "elapsed_s", "energy", "rms_update", "step"]
+        row = rows[line["step"] - 1]
+        assert line["step"] == 10 * k
+        assert line["energy"] == float(row[1]) and line["rms_update"] == float(row[3])
+        assert line["cg_iters"] == sum(int(r[4]) for r in rows[: line["step"]])
+        assert line["elapsed_s"] >= elapsed
+        elapsed = line["elapsed_s"]
+
+    out = tmp_path / "bad"
+    assert run_command(base + ["--out-dir", str(out), "--progress", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--progress" in err
+    assert not out.exists()
+
+
+def test_run_command_reports_rho_ratio(tmp_path):
+    # with the band of 1.5h the run closes in on the figure linearly (ratio
+    # about 0.95); at the default 3h it collapses to the empty shape with
+    # growing drops, and the ratio, a diagnostic, reads above 1
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(64, 64)))
+    ratios = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        assert run_command(["--input", str(path), "--out-dir", out, "--epsilon-factor", "1.5"]) == 0
+        ratios.append(json.loads((tmp_path / name / "summary.json").read_text())["rho_ratio"])
+    assert ratios[0] == ratios[1]
+    assert 0.0 < ratios[0] < 1.0
 
 
 def test_run_command_audit_exits_3_on_energy_rise(tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ from illushape import (
     GridField,
     GridGeometry,
     LinearizedData,
+    StartSubspace,
     apply_operator,
     cg_solve,
     dense_matrix,
@@ -130,6 +131,29 @@ def test_operator_built_once_per_model(monkeypatch):
     assert not gx.flags.writeable and not gy.flags.writeable
 
 
+def subspace_of(columns, size=None):
+    """A ring holding the given grid arrays, in slot order."""
+    space = StartSubspace(size or len(columns))
+    for c in columns:
+        space.push(c, 0.0)
+    return space
+
+
+def galerkin_start(data, p, warm, space):
+    """The ring's theta, rank and L applications at ``warm``, from the residual
+    ``cg_solve`` computes."""
+    n = warm.geometry.cells
+    x = zero_rim(warm.values.copy()).ravel()
+    ax = np.empty(n)
+    p.operator.apply(x, data.g_n.values.ravel(), ax, np.empty(n - 1))
+    r = zero_rim(data.f_n.values.copy()).ravel() - ax
+    return space.galerkin(p.operator, data.g_n.values.ravel(), r, np.empty(n), np.empty(n - 1))
+
+
+def interior(a):
+    return a[1:-1, 1:-1].ravel()
+
+
 def assert_same_solve(got, expected):
     (x, stats), (x_ref, stats_ref) = got, expected
     assert np.array_equal(x.values.view(np.uint64), x_ref.values.view(np.uint64))
@@ -146,11 +170,12 @@ def test_cg_matches_textbook_pcg_bitwise():
             warm = zero_rim_field(geom, rng, 0.0, 1.0)
             expected = textbook_reduced_pcg(data, p, cg, warm_start=warm)
             assert_same_solve(cg_solve(data, p, cg, warm_start=warm), expected)
-            # a zero direction gives theta = 0: the plain warm start, bit for bit,
-            # for one more full-space operator application
-            x, stats = cg_solve(data, p, cg, warm_start=warm, direction=np.zeros(geom.shape))
+            # a zero subspace keeps no direction: the plain warm start, bit for bit,
+            # for one more application (of L) per difference
+            zeros = subspace_of([np.zeros(geom.shape)] * 2)
+            x, stats = cg_solve(data, p, cg, warm_start=warm, subspace=zeros)
             assert_same_solve(
-                (x, dataclasses.replace(stats, full_applications=stats.full_applications - 1)),
+                (x, dataclasses.replace(stats, full_applications=stats.full_applications - 2)),
                 expected,
             )
 
@@ -262,56 +287,160 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=exact)
     assert stats.iterations == 0
     assert np.array_equal(solution.values, exact.values)
-    # so does a start elsewhere with a direction pointing at the solution: theta = 1
+    # so does a start elsewhere from a subspace that contains the solution
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
-    solution, stats = cg_solve(
-        data, p, CgParams(rel_tol=1e-7), warm_start=warm, direction=exact.values - warm.values
-    )
+    other = zero_rim_field(geom, rng).values
+    space = subspace_of([other, exact.values - warm.values, other + exact.values - warm.values])
+    solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=warm, subspace=space)
     assert stats.iterations == 0
-    assert stats.theta == pytest.approx(1.0, rel=1e-9)
+    assert stats.start_rank == 2
     assert np.abs(solution.values - exact.values).max() <= 1e-9
 
 
-def test_predicted_start_is_the_line_minimizer():
-    # the start z_n + theta s is the exact minimizer of the inner quadratic along s
+def test_projected_start_is_the_galerkin_minimizer():
+    # theta solves (D'KD) theta = D'(b - K x0) against the dense oracle K, so
+    # z_n + D theta minimizes the inner quadratic over z_n + span(D)
     rng = np.random.default_rng(61)
     for geom in (GridGeometry(12, 10), GridGeometry(9, 14)):
-        for _ in range(10):
-            data, p = random_instance(geom, rng)
-            K = dense_matrix(data, p)
-            b = data.f_n.values[1:-1, 1:-1].ravel()
+        for k in (1, 3, 6):
+            for _ in range(5):
+                data, p = random_instance(geom, rng)
+                K = dense_matrix(data, p)
+                b = interior(data.f_n.values)
+
+                def q(x):
+                    return 0.5 * x @ K @ x - b @ x
+
+                warm = zero_rim_field(geom, rng, 0.0, 1.0)
+                # the ring zeroes the rim the interior-only oracle does not see
+                columns = [rng.uniform(-1.0, 1.0, size=geom.shape) for _ in range(k)]
+                space = subspace_of(columns, size=6)
+                theta, rank, applied = galerkin_start(data, p, warm, space)
+                assert rank == applied == k
+                D = np.stack([interior(c) for c in columns], axis=1)
+                x0 = interior(warm.values)
+                want = np.linalg.solve(D.T @ K @ D, D.T @ (b - K @ x0))
+                assert np.allclose(theta, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+                start = q(x0 + D @ theta)
+                assert start <= q(x0) + 1e-12 * (1.0 + abs(q(x0)))
+                for _ in range(3):
+                    perturbed = theta * (1.0 + 0.1 * rng.standard_normal(k))
+                    assert start <= q(x0 + D @ perturbed) + 1e-12 * (1.0 + abs(start))
+                # the solve starts there; the ring kept its L Gram, so the solve
+                # applies A only to the start and to the step
+                _, stats = cg_solve(data, p, CgParams(), warm_start=warm, subspace=space)
+                assert stats.start_rank == k
+                assert stats.full_applications == 2
+
+
+def test_ring_keeps_the_last_differences():
+    # eight pushes into a ring of six: the two oldest are overwritten, and the
+    # Gram of the rows they left is rebuilt, so theta still matches the oracle
+    rng = np.random.default_rng(71)
+    geom = GridGeometry(10, 9)
+    data, p = random_instance(geom, rng)
+    K = dense_matrix(data, p)
+    b = interior(data.f_n.values)
+    warm = zero_rim_field(geom, rng, 0.0, 1.0)
+    x0 = interior(warm.values)
+    iterates = [zero_rim_field(geom, rng).values for _ in range(9)]
+    space = StartSubspace(6)
+    for n in range(8):
+        space.push(iterates[n + 1], iterates[n])
+        if n == 3:
+            galerkin_start(data, p, warm, space)  # the Gram of the first four
+    assert space.count == 6
+    last = [iterates[n + 1] - iterates[n] for n in range(2, 8)]
+    held = [row.reshape(geom.shape) for row in space.rows]
+    assert all(any(np.array_equal(h, d) for h in held) for d in last)
+    theta, rank, applied = galerkin_start(data, p, warm, space)
+    assert rank == 6 and applied == 4
+    D = np.stack([interior(h) for h in held], axis=1)
+    want = np.linalg.solve(D.T @ K @ D, D.T @ (b - K @ x0))
+    assert np.allclose(theta, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_rank_deficient_subspaces_start_no_worse():
+    # a zero column, a duplicate and two nearly parallel columns: the Gram is
+    # singular or nearly so, and the start must neither fail nor lose to z_n;
+    # the near-null direction of u and u + 1e-6 v is kept (theta ~ 1e4), that
+    # of u and u + 1e-9 v dropped
+    rng = np.random.default_rng(79)
+    geom = GridGeometry(11, 13)
+    for _ in range(5):
+        data, p = random_instance(geom, rng)
+        K = dense_matrix(data, p)
+        b = interior(data.f_n.values)
+        reference = dense_solve_oracle(data, p)
+        warm = zero_rim_field(geom, rng, 0.0, 1.0)
+        u, v, w = (zero_rim_field(geom, rng).values for _ in range(3))
+        for columns, want_rank in (
+            ([u, np.zeros(geom.shape), v], 2),
+            ([u, v, u.copy()], 2),
+            ([u, zero_rim(u + 1e-6 * v), w], 3),
+            ([u, zero_rim(u + 1e-9 * v), w], 2),
+            ([np.zeros(geom.shape)], 0),
+        ):
+            space = subspace_of(columns, size=6)
+            theta, rank, _ = galerkin_start(data, p, warm, space)
+            assert np.all(np.isfinite(theta))
+            assert rank == want_rank
+            D = np.stack([interior(c) for c in columns], axis=1)
+            x0 = interior(warm.values)
 
             def q(x):
                 return 0.5 * x @ K @ x - b @ x
 
-            warm = zero_rim_field(geom, rng, 0.0, 1.0)
-            s = zero_rim_field(geom, rng).values
-            x0, si = warm.values[1:-1, 1:-1].ravel(), s[1:-1, 1:-1].ravel()
-            _, stats = cg_solve(data, p, CgParams(), warm_start=warm, direction=s.copy())
-            assert stats.theta == pytest.approx((b - K @ x0) @ si / (si @ K @ si), rel=1e-9)
-            start = q(x0 + stats.theta * si)
-            assert start <= q(x0) + 1e-12 * (1.0 + abs(q(x0)))
-            for t in (0.9, 1.1):
-                assert start <= q(x0 + t * stats.theta * si) + 1e-12 * (1.0 + abs(start))
+            solution, stats = cg_solve(data, p, CgParams(), warm_start=warm, subspace=space)
+            assert np.abs(solution.values - reference.values).max() <= 1e-8
+            # a kept start is never worse than z_n; a worse one is dropped
+            assert stats.start_rank in (0, rank)
+            if stats.start_rank:
+                assert q(x0 + D @ theta) <= q(x0)
 
 
-def test_cg_direction_adds_no_memory():
+def test_start_that_raises_the_quadratic_is_dropped(monkeypatch):
+    # theta reversed raises the quadratic by 3/2 theta'D'r0 > 0: the safeguard
+    # sees it from the applied A D theta and starts at z_n instead
+    rng = np.random.default_rng(83)
+    geom = GridGeometry(12, 12)
+    data, p = random_instance(geom, rng)
+    warm = zero_rim_field(geom, rng, 0.0, 1.0)
+    space = subspace_of([zero_rim_field(geom, rng).values for _ in range(3)])
+    galerkin = StartSubspace.galerkin
+
+    def reversed_galerkin(self, *args):
+        theta, rank, applied = galerkin(self, *args)
+        return -theta, rank, applied
+
+    monkeypatch.setattr(StartSubspace, "galerkin", reversed_galerkin)
+    x, stats = cg_solve(data, p, warm_start=warm, subspace=space)
+    assert stats.start_rank == 0
+    # three applications of L and one of A to the dropped step
+    expected = textbook_reduced_pcg(data, p, warm_start=warm)
+    assert_same_solve((x, dataclasses.replace(stats, full_applications=stats.full_applications - 4)), expected)
+
+
+def test_cg_subspace_adds_no_grid_array():
     rng = np.random.default_rng(73)
     geom = GridGeometry(64, 64)
     data, p = random_instance(geom, rng)
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
-    direction = rng.uniform(-0.01, 0.01, size=geom.shape)
+    space = subspace_of([rng.uniform(-0.01, 0.01, size=geom.shape) for _ in range(6)])
     p.operator  # built once per model, outside the measurement
 
     def peak(**kw):
         tracemalloc.start()
         try:
-            cg_solve(data, p, warm_start=warm, **kw)
-            return tracemalloc.get_traced_memory()[1]
+            _, stats = cg_solve(data, p, warm_start=warm, **kw)
+            return tracemalloc.get_traced_memory()[1], stats
         finally:
             tracemalloc.stop()
 
-    assert peak(direction=direction) <= peak()
+    with_space, stats = peak(subspace=space)
+    assert stats.start_rank == 6
+    # the small system's few arrays only; one grid array here is 32 KiB
+    assert with_space <= peak()[0] + 4096
 
 
 def test_cg_residual_contract_on_random_instances():

@@ -4,10 +4,12 @@ import pytest
 from illushape import (
     CanyonField,
     CgParams,
+    ConfigurationMask,
     GridGeometry,
     ModelParams,
     PhaseField,
     SolverConfig,
+    StartSubspace,
     apply_operator,
     cg_solve,
     double_well,
@@ -302,17 +304,48 @@ def test_profile_measure_validates_inputs():
         profile_measure_1d(1.0 / 64.0, 0.5, 512)
 
 
+def test_model_indicator_built_once_and_read_only(monkeypatch):
+    rng = np.random.default_rng(89)
+    geom = GridGeometry(9, 8)
+    p = random_model(geom, rng)
+    expected = p.mask.indicator()
+    calls = []
+    real_indicator = ConfigurationMask.indicator
+
+    def counted_indicator(mask):
+        calls.append(mask)
+        return real_indicator(mask)
+
+    monkeypatch.setattr(ConfigurationMask, "indicator", counted_indicator)
+    assert "indicator" not in vars(p)
+    z, z_n, u = (random_phase(geom, rng) for _ in range(3))
+    for _ in range(2):
+        linearize(z_n, p)
+        total_energy(z, p)
+        surrogate_energy(z, z_n, p)
+        first_variation(z, u, z_n, p)
+    assert len(calls) == 1
+    chi = p.indicator
+    assert chi is p.indicator
+    assert np.array_equal(chi, expected)
+    assert not chi.flags.writeable
+    with pytest.raises(ValueError):
+        chi[1, 1] = 1.0
+
+
 def test_geometry_mismatch_rejected():
     rng = np.random.default_rng(47)
     geom = GridGeometry(8, 8)
     p = random_model(geom, rng)
     data = linearize(random_phase(geom, rng), p)
     z_other = PhaseField.zeros(GridGeometry(9, 9))
+    wrong_ring = StartSubspace(2)
+    wrong_ring.push(np.ones(z_other.geometry.shape), 0.0)
     for call in (
         lambda: total_energy(z_other, p),
         lambda: apply_operator(z_other, data, p),
         lambda: cg_solve(data, p, warm_start=z_other),
-        lambda: cg_solve(data, p, direction=np.zeros(z_other.geometry.shape)),
+        lambda: cg_solve(data, p, subspace=wrong_ring),
         lambda: run(p.mask, SolverConfig(model=p), initial=z_other),
     ):
         with pytest.raises(ValueError, match="different grids"):

@@ -135,25 +135,27 @@ def test_run_is_deterministic(small_setup):
     assert all(_same_record(a, b) for a, b in zip(first.steps, second.steps))
 
 
-STEP_BYTES = """
+RUN_BYTES = """
 import hashlib
-from illushape import SolverConfig, default_model, null_hypothesis, step
+from illushape import SolverConfig, default_model, run
 from illushape.fixtures import kanizsa_triangle
 mask = kanizsa_triangle(128, 128)
-z, _ = step(null_hypothesis(mask), SolverConfig(model=default_model(mask)))
+z, report = run(mask, SolverConfig(model=default_model(mask), max_outer=8))
+assert len(report.steps) == 8 and report.steps[-1].start_rank > 0
 print(hashlib.sha256(z.values.tobytes()).hexdigest())
 """
 
 
 def test_step_does_not_depend_on_blas_threads():
-    # a threaded BLAS dot splits its sum by thread count; the solve must not use one
+    # a threaded BLAS dot splits its sum by thread count; the solve must not use
+    # one, and eight steps cover the projected start and its small solve
     src = str(Path(illushape.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         done = subprocess.run(
-            [sys.executable, "-c", STEP_BYTES], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", RUN_BYTES], env=env, capture_output=True, text=True, check=True
         )
         digests.append(done.stdout.strip())
     assert len(digests[0]) == 64
@@ -166,7 +168,7 @@ def test_step_does_not_depend_on_blas_threads():
     ids=["kanizsa-128", "ellipse-triangle", "disk"],
 )
 def test_predicted_start_keeps_the_plain_trajectory(make_mask):
-    # at the default tolerance the predicted start changes the work, not the result
+    # at the default tolerance the projected start changes the work, not the result
     mask = make_mask()
     cfg = SolverConfig(model=default_model(mask))
     z, report = run(mask, cfg)
@@ -179,8 +181,8 @@ def test_predicted_start_keeps_the_plain_trajectory(make_mask):
     slack = 1e-9 * (1.0 + report.steps[0].energy)
     assert all(s.rho >= s.drop_bound - slack for s in report.steps[:-1])
     assert max(max(-s.pre_clamp_min, s.pre_clamp_max - 1.0, 0.0) for s in report.steps) <= 1e-9
-    assert report.steps[0].theta == 0.0
-    assert any(s.theta != 0.0 for s in report.steps)
+    assert report.steps[0].start_rank == 0
+    assert any(s.start_rank > 0 for s in report.steps)
     assert sum(s.cg_iters for s in report.steps) < sum(s.cg_iters for s in plain.steps)
 
 
@@ -192,11 +194,11 @@ def test_loose_tolerance_keeps_the_plain_start_bitwise():
     assert np.array_equal(z.values, z_plain.values)
     assert len(report.steps) == len(plain.steps) > 1
     assert all(_same_record(a, b) for a, b in zip(report.steps, plain.steps))
-    assert all(s.theta == 0.0 for s in report.steps)
+    assert all(s.start_rank == 0 for s in report.steps)
     assert report.el_residual == plain.el_residual
-    # from the tolerance rule's threshold on, the prediction runs
+    # from the tolerance rule's threshold on, the projected start runs
     _, tight = run(mask, dataclasses.replace(cfg, cg=CgParams(rel_tol=1e-8)))
-    assert any(s.theta != 0.0 for s in tight.steps)
+    assert any(s.start_rank > 0 for s in tight.steps)
 
 
 def test_run_from_zero_field_stops_immediately(small_setup):
