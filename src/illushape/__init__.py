@@ -23,8 +23,6 @@ from .elliptic import (
     StartSubspace,
     apply_operator,
     cg_solve,
-    dense_matrix,
-    dense_solve_oracle,
     linearize,
 )
 from .energy import (
@@ -32,13 +30,9 @@ from .energy import (
     PhaseField,
     double_well,
     energy_drop_bound,
-    first_variation,
-    profile_measure_1d,
-    surrogate_energy,
-    surrogate_target,
     total_energy,
 )
-from .grid import GridField, GridGeometry, gradient_magnitude, quadrature_sum, rms_diff
+from .grid import GridField, GridGeometry, gradient_magnitude, rms_diff
 from .shape import ComponentSet, ShapeMask, connected_components, extract_shape, iou
 from .solver import (
     IterationReport,
@@ -80,26 +74,19 @@ __all__ = [
     "cg_solve",
     "connected_components",
     "default_model",
-    "dense_matrix",
-    "dense_solve_oracle",
     "double_well",
     "edge_response",
     "energy_drop_bound",
     "euler_lagrange_residual",
     "extract_shape",
-    "first_variation",
     "gradient_magnitude",
     "iou",
     "linearize",
     "mollify",
     "null_hypothesis",
     "presmooth",
-    "profile_measure_1d",
-    "quadrature_sum",
     "rms_diff",
     "run",
     "step",
-    "surrogate_energy",
-    "surrogate_target",
     "total_energy",
 ]

@@ -18,7 +18,14 @@ from .elliptic import CgConvergenceError, CgParams
 from .energy import PhaseField
 from .grid import GridField, GridGeometry
 from .shape import connected_components, extract_shape
-from .solver import RangePreservationError, SolverConfig, default_model, run
+from .solver import (
+    RangePreservationError,
+    SolverConfig,
+    default_model,
+    null_hypothesis,
+    presmooth,
+    run,
+)
 
 __all__ = [
     "PgmFormatError",
@@ -212,28 +219,24 @@ def run_command(argv=None) -> int:
             cg=CgParams(rel_tol=args.cg_tol),
             delta=args.delta,
             max_outer=args.max_outer,
-            presmooth_steps=args.presmooth,
-            snapshot_every=args.snapshot_every,
         )
         if not (0.0 < args.threshold < 1.0):
             raise ValueError("threshold must lie strictly between 0 and 1")
-        if args.progress < 0:
-            raise ValueError("--progress must be nonnegative")
+        for flag in ("presmooth", "snapshot_every", "progress"):
+            if getattr(args, flag) < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
     except (OSError, ValueError) as exc:
         print(f"illushape: {exc}", file=sys.stderr)
         return 1
 
     out_dir = Path(args.out_dir)
-
-    def sink(iteration: int, field: PhaseField) -> None:
-        save_field_image(field, out_dir / f"snap_{iteration:06d}.pgm")
-
     cg_iters = 0
 
-    def progress(record) -> None:
+    def step_sink(record, field: PhaseField) -> None:
+        """Write the progress line and the snapshot that fall on this step."""
         nonlocal cg_iters
         cg_iters += record.cg_iters
-        if record.index % args.progress == 0:
+        if args.progress and record.index % args.progress == 0:
             line = {
                 "step": record.index,
                 "energy": record.energy,
@@ -242,6 +245,8 @@ def run_command(argv=None) -> int:
                 "elapsed_s": time.perf_counter() - t0,
             }
             print(json.dumps(line), file=sys.stderr, flush=True)
+        if args.snapshot_every and record.index % args.snapshot_every == 0:
+            save_field_image(field, out_dir / f"snap_{record.index:06d}.pgm")
 
     t0 = time.perf_counter()
     try:
@@ -249,8 +254,8 @@ def run_command(argv=None) -> int:
         final, report = run(
             mask,
             cfg,
-            snapshot_sink=sink if args.snapshot_every else None,
-            step_sink=progress if args.progress else None,
+            initial=presmooth(null_hypothesis(mask), args.presmooth),
+            step_sink=step_sink,
         )
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)

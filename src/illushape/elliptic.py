@@ -1,4 +1,4 @@
-"""Linearized inner problem: coefficients, matrix-free operator, PCG, dense oracle.
+"""Linearized inner problem: coefficients, matrix-free operator, PCG.
 
 The operator is the 5-point variable-coefficient stencil
 A z = -div(eps^2 G grad z) + g_n z with arithmetic face averages of the
@@ -27,12 +27,8 @@ __all__ = [
     "apply_operator",
     "cg_solve",
     "StartSubspace",
-    "dense_matrix",
-    "dense_solve_oracle",
-    "DENSE_ORACLE_LIMIT",
 ]
 
-DENSE_ORACLE_LIMIT = 4096
 RED, BLACK = 0, 1  # checkerboard colours: cells with i + j even, odd
 
 # The projected start keeps the directions of the Jacobi-scaled Galerkin
@@ -92,7 +88,7 @@ class CgConvergenceError(RuntimeError):
 
 def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     """Coefficients of the inner linear problem frozen at iterate z_n."""
-    g = _surrogate_weight(z_n, p) + p.lam * p.indicator
+    g = _surrogate_weight(z_n, p) + p.lam * p.mask.inside
     f = 3.0 * p.canyon.values * np.square(z_n.values)
     return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
 
@@ -496,42 +492,3 @@ def cg_solve(
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
     return solution, CgStats(k, r_norm / f_norm, rank, full, k + 1)
-
-
-def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
-    """Dense interior system matrix, row-major over interior cells.
-
-    Column j is the operator's kernel applied to the j-th interior unit
-    vector, so the matrix is ``apply_operator`` written out; bounded by
-    ``DENSE_ORACLE_LIMIT`` unknowns.
-    """
-    geom = data.f_n.geometry
-    cells = np.arange(geom.cells).reshape(geom.shape)[1:-1, 1:-1].ravel()
-    n = len(cells)
-    if n > DENSE_ORACLE_LIMIT:
-        raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} interior unknowns")
-    g = data.g_n.values.ravel()
-    unit, out, face = np.zeros(geom.cells), np.empty(geom.cells), np.empty(geom.cells - 1)
-    K = np.empty((n, n))
-    for j, k in enumerate(cells):
-        unit[k] = 1.0
-        p.operator.apply(unit, g, out, face)
-        unit[k] = 0.0
-        K[:, j] = out[cells]
-    return K
-
-
-def dense_solve_oracle(data: LinearizedData, p: ModelParams) -> GridField:
-    """Direct dense solve of the interior system for small grids.
-
-    LU elimination with partial pivoting on the assembled matrix.  Intended
-    as a test oracle for the matrix-free path.
-    """
-    geom = data.f_n.geometry
-    rows, cols = geom.height - 2, geom.width - 2
-    K = dense_matrix(data, p)
-    b = data.f_n.values[1:-1, 1:-1].ravel()
-    sol = np.linalg.solve(K, b)
-    full = np.zeros(geom.shape)
-    full[1:-1, 1:-1] = sol.reshape(rows, cols)
-    return GridField(geom, full)

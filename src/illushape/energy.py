@@ -4,9 +4,11 @@ The total energy charges canyon-weighted gradient and double-well terms plus
 a soft confinement that pins the phase to zero on the inducers.  The convex
 surrogate built around a frozen iterate majorizes the total energy; its
 minimizer is the next iterate of the outer scheme, and its first variation is
-the weak form of the linearized elliptic equation.  Energy and operator share
-one face stencil and one quadrature so the discrete decrease bound holds
-exactly, not merely in the continuum limit.
+the weak form of the linearized elliptic equation.  A run needs only the
+surrogate's cell weight, from which the linearization is assembled; the test
+suite evaluates the surrogate and its first variation from the same face form
+and weight.  Energy and operator share one face stencil and one quadrature so
+the discrete decrease bound holds exactly, not merely in the continuum limit.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ __all__ = [
     "PhaseField",
     "ModelParams",
     "double_well",
-    "surrogate_target",
     "total_energy",
-    "surrogate_energy",
-    "first_variation",
     "energy_drop_bound",
-    "profile_measure_1d",
 ]
 
 
@@ -76,13 +74,6 @@ class ModelParams:
         return gx, gy
 
     @cached_property
-    def indicator(self) -> np.ndarray:
-        """Read-only 0/1 float indicator of the inducers, built on first use."""
-        chi = self.mask.indicator()
-        chi.setflags(write=False)
-        return chi
-
-    @cached_property
     def operator(self):
         """The elliptic operator's face coefficients, built on the first solve."""
         from .elliptic import Operator  # elliptic builds on this module
@@ -93,16 +84,6 @@ class ModelParams:
 def double_well(z):
     """Double-well potential (1 - z)^2 z^2 with minima at the pure phases."""
     return np.square(1.0 - z) * np.square(z)
-
-
-def surrogate_target(z):
-    """Cellwise target 3 z^2 / (1 + 2 z^2) of the convex surrogate.
-
-    Fixed points of the map are 0, 1/2, and 1, matching the critical points
-    of the double well.
-    """
-    zz = np.square(z)
-    return 3.0 * zz / (1.0 + 2.0 * zz)
 
 
 def _face_form(a: np.ndarray, b: np.ndarray, p: ModelParams) -> float:
@@ -129,7 +110,7 @@ def total_energy(z: PhaseField, p: ModelParams) -> float:
     grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
     cell_scale = h * h / (2.0 * p.epsilon)
     well = cell_scale * float(np.sum(p.canyon.values * double_well(zv)))
-    pin = p.lam * cell_scale * float(np.sum(p.indicator * zv * zv))
+    pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * zv))
     return grad + well + pin
 
 
@@ -140,40 +121,6 @@ def _surrogate_weight(z_n: PhaseField, p: ModelParams) -> np.ndarray:
     """
     require_same_geometry(z_n, p)
     return p.canyon.values * (1.0 + 2.0 * np.square(z_n.values))
-
-
-def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
-    """Strictly convex quadratic majorant of the total energy at iterate z_n."""
-    require_same_geometry(z, p)
-    zv = z.values
-    h = p.geometry.h
-    weight = _surrogate_weight(z_n, p)
-    target = surrogate_target(z_n.values)
-    grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
-    cell_scale = h * h / (2.0 * p.epsilon)
-    cell = cell_scale * float(np.sum(weight * np.square(zv - target)))
-    pin = p.lam * cell_scale * float(np.sum(p.indicator * zv * zv))
-    return grad + cell + pin
-
-
-def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
-    """Directional derivative of the surrogate at z in direction u.
-
-    Vanishes for every zero-trace direction exactly when z solves the
-    linearized elliptic equation assembled from z_n.
-    """
-    require_same_geometry(z, p)
-    require_same_geometry(u, p)
-    zv = z.values
-    uv = u.values
-    h = p.geometry.h
-    weight = _surrogate_weight(z_n, p)
-    target = surrogate_target(z_n.values)
-    grad = p.epsilon * _face_form(zv, uv, p)
-    cell_scale = h * h / p.epsilon
-    cell = cell_scale * float(np.sum(weight * (zv - target) * uv))
-    pin = p.lam * cell_scale * float(np.sum(p.indicator * zv * uv))
-    return grad + cell + pin
 
 
 def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams) -> float:
@@ -192,26 +139,3 @@ def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams) -> floa
     factor = 2.0 * a + 4.0 * m * (1.0 - m)
     integrand = p.canyon.values * np.square(b - a) * factor
     return float(h * h / (2.0 * p.epsilon) * np.sum(integrand))
-
-
-def profile_measure_1d(epsilon: float, half_length: float, n_points: int) -> float:
-    """Transition-layer measure of the 1-D logistic profile.
-
-    Samples z(t) = S(t / epsilon) with the logistic S on
-    [-half_length, half_length], using the analytic derivative
-    z' = z (1 - z) / epsilon, and integrates
-    epsilon/2 z'^2 + Phi(z) / (2 epsilon) by the trapezoid rule.  As the
-    window widens the value tends to 1/6, the total variation of
-    z^2/2 - z^3/3 across the well.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if half_length < 8.0 * epsilon:
-        raise ValueError("half_length must cover at least 8 epsilon")
-    if n_points < 1024:
-        raise ValueError("need at least 1024 sample points")
-    t = np.linspace(-half_length, half_length, n_points)
-    z = 0.5 * (1.0 + np.tanh(0.5 * t / epsilon))
-    dz = z * (1.0 - z) / epsilon
-    integrand = 0.5 * epsilon * dz * dz + double_well(z) / (2.0 * epsilon)
-    return float(np.trapezoid(integrand, t))

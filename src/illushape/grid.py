@@ -1,4 +1,4 @@
-"""Uniform 2-D grids: scalar fields, difference stencils, norms, quadrature."""
+"""Uniform 2-D grids: scalar fields, difference stencils, norms."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ __all__ = [
     "heat_step",
     "gradient_magnitude",
     "rms_diff",
-    "quadrature_sum",
     "face_means",
     "face_diffs",
 ]
@@ -133,12 +132,6 @@ def rms_diff(a: GridField, b: GridField) -> float:
     require_same_geometry(a, b)
     d = a.values - b.values
     return float(np.sqrt(np.mean(d * d)))
-
-
-def quadrature_sum(f: GridField) -> float:
-    """Midpoint-rule integral over the domain: h^2 times the cell sum."""
-    h = f.geometry.h
-    return float(h * h * f.values.sum())
 
 
 def face_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,9 +33,14 @@ __all__ = [
 ]
 
 
-# The projected CG start runs only at inner tolerances this tight or tighter;
-# there the start leaves no trace in the outer trajectory, while at looser
-# tolerances it shifts the final energy and the step count.
+# The projected CG start runs only at inner tolerances this tight or tighter.
+# At 1e-6 the outer trajectory would hold (ellipse-triangle 192x128: final
+# energies within 7.3e-10 relative of the plain start's, steps within 1), but
+# the step's range check would not: the pre-clamp excursion the start leaves
+# grows with the grid, to 0.06, 0.20 and 0.41 of the 10 * rel_tol limit on
+# Kanizsa 96^2, 192^2 and 256^2 (the plain start: 0.09 at 256^2), and Kanizsa
+# 512^2 raises RangePreservationError at step 198 (1.056e-5 > 1e-5), where the
+# plain start peaks at 4.0e-7 over 800 steps.
 PREDICT_MAX_TOL = 1e-8
 
 # The projected start searches the span of this many last iterate differences.
@@ -56,16 +61,12 @@ class SolverConfig:
     cg: CgParams = CgParams()
     delta: float = 1e-6
     max_outer: int = 5000
-    presmooth_steps: int = 0
-    snapshot_every: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if self.max_outer <= 0:
             raise ValueError("max_outer must be positive")
-        if self.presmooth_steps < 0 or self.snapshot_every < 0:
-            raise ValueError("step counts must be nonnegative")
 
 
 @dataclass
@@ -226,17 +227,16 @@ def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
 def run(
     mask: ConfigurationMask,
     cfg: SolverConfig,
-    snapshot_sink=None,
+    *,
     initial: PhaseField | None = None,
     step_sink=None,
 ) -> tuple[PhaseField, IterationReport]:
     """Iterate until the RMS update drops below delta or the budget runs out.
 
-    ``initial`` overrides the null-hypothesis start (testing hook).  When a
-    sink is given and ``snapshot_every`` is positive, the sink receives
-    ``(iteration, field)`` every that many steps; fields are read-only.
-    ``step_sink``, when given, receives every step's record once its energy
-    and update are set.
+    The run starts from ``initial``, or from the null hypothesis when it is
+    None.  ``step_sink``, when given, is called as ``step_sink(record,
+    field)`` after every step, with the step's record (its energy and update
+    set) and the new read-only iterate.
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
 
@@ -246,9 +246,8 @@ def run(
     ``cg_solve`` starts from the best point of z_n plus that span.
     """
     z = initial if initial is not None else null_hypothesis(mask)
+    del initial  # so the first iterate is freed once the second replaces it
     require_same_geometry(z, cfg.model)
-    if cfg.presmooth_steps:
-        z = presmooth(z, cfg.presmooth_steps)
 
     ring = StartSubspace(START_DIRECTIONS) if cfg.cg.rel_tol <= PREDICT_MAX_TOL else None
     report = IterationReport()
@@ -263,12 +262,10 @@ def run(
             prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
         report.steps.append(record)
         if step_sink is not None:
-            step_sink(record)
+            step_sink(record, z_next)
         if ring is not None:
             ring.push(z_next.values, z.values)
         z = z_next
-        if snapshot_sink is not None and cfg.snapshot_every and n % cfg.snapshot_every == 0:
-            snapshot_sink(n, z)
         if record.rms_update <= cfg.delta:
             report.status = "converged"
             break

@@ -19,16 +19,19 @@ from illushape import (
     ModelParams,
     PhaseField,
     SolverConfig,
+    double_well,
     energy_drop_bound,
     euler_lagrange_residual,
     linearize,
     null_hypothesis,
-    presmooth,
     step,
     total_energy,
 )
 from illushape.elliptic import _dot
-from illushape.grid import face_means, rms_diff, zero_rim
+from illushape.energy import _face_form, _surrogate_weight
+from illushape.grid import face_means, require_same_geometry, rms_diff, zero_rim
+
+DENSE_ORACLE_LIMIT = 4096
 
 
 def empty_mask(geom: GridGeometry) -> ConfigurationMask:
@@ -89,6 +92,108 @@ def random_instance(
     model = random_model(geom, rng)
     z_n = GridField(geom, rng.uniform(0.0, 1.0, size=geom.shape))
     return linearize(z_n, model), model
+
+
+def surrogate_target(z):
+    """Cellwise target 3 z^2 / (1 + 2 z^2) of the convex surrogate.
+
+    Fixed points of the map are 0, 1/2, and 1, matching the critical points
+    of the double well.
+    """
+    zz = np.square(z)
+    return 3.0 * zz / (1.0 + 2.0 * zz)
+
+
+def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
+    """Strictly convex quadratic majorant of the total energy at iterate z_n,
+    from the package's face form and surrogate weight."""
+    require_same_geometry(z, p)
+    zv = z.values
+    h = p.geometry.h
+    weight = _surrogate_weight(z_n, p)
+    target = surrogate_target(z_n.values)
+    grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
+    cell_scale = h * h / (2.0 * p.epsilon)
+    cell = cell_scale * float(np.sum(weight * np.square(zv - target)))
+    pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * zv))
+    return grad + cell + pin
+
+
+def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
+    """Directional derivative of the surrogate at z in direction u.
+
+    Vanishes for every zero-trace direction exactly when z solves the
+    linearized elliptic equation assembled from z_n.
+    """
+    require_same_geometry(z, p)
+    require_same_geometry(u, p)
+    zv = z.values
+    uv = u.values
+    h = p.geometry.h
+    weight = _surrogate_weight(z_n, p)
+    target = surrogate_target(z_n.values)
+    grad = p.epsilon * _face_form(zv, uv, p)
+    cell_scale = h * h / p.epsilon
+    cell = cell_scale * float(np.sum(weight * (zv - target) * uv))
+    pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * uv))
+    return grad + cell + pin
+
+
+def profile_measure_1d(epsilon: float, half_length: float, n_points: int) -> float:
+    """Transition-layer measure of the 1-D logistic profile.
+
+    Samples z(t) = S(t / epsilon) with the logistic S on
+    [-half_length, half_length], using the analytic derivative
+    z' = z (1 - z) / epsilon, and integrates
+    epsilon/2 z'^2 + Phi(z) / (2 epsilon) by the trapezoid rule.  As the
+    window widens the value tends to 1/6, the total variation of
+    z^2/2 - z^3/3 across the well.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if half_length < 8.0 * epsilon:
+        raise ValueError("half_length must cover at least 8 epsilon")
+    if n_points < 1024:
+        raise ValueError("need at least 1024 sample points")
+    t = np.linspace(-half_length, half_length, n_points)
+    z = 0.5 * (1.0 + np.tanh(0.5 * t / epsilon))
+    dz = z * (1.0 - z) / epsilon
+    integrand = 0.5 * epsilon * dz * dz + double_well(z) / (2.0 * epsilon)
+    return float(np.trapezoid(integrand, t))
+
+
+def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
+    """Dense interior system matrix, row-major over interior cells.
+
+    Column j is the package's operator kernel applied to the j-th interior
+    unit vector, so the matrix is ``apply_operator`` written out; bounded by
+    ``DENSE_ORACLE_LIMIT`` unknowns.
+    """
+    geom = data.f_n.geometry
+    cells = np.arange(geom.cells).reshape(geom.shape)[1:-1, 1:-1].ravel()
+    n = len(cells)
+    if n > DENSE_ORACLE_LIMIT:
+        raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} interior unknowns")
+    g = data.g_n.values.ravel()
+    unit, out, face = np.zeros(geom.cells), np.empty(geom.cells), np.empty(geom.cells - 1)
+    K = np.empty((n, n))
+    for j, k in enumerate(cells):
+        unit[k] = 1.0
+        p.operator.apply(unit, g, out, face)
+        unit[k] = 0.0
+        K[:, j] = out[cells]
+    return K
+
+
+def dense_solve_oracle(data: LinearizedData, p: ModelParams) -> GridField:
+    """Direct dense solve of the interior system for small grids: LU
+    elimination with partial pivoting on ``dense_matrix``."""
+    geom = data.f_n.geometry
+    K = dense_matrix(data, p)
+    b = data.f_n.values[1:-1, 1:-1].ravel()
+    full = np.zeros(geom.shape)
+    full[1:-1, 1:-1] = np.linalg.solve(K, b).reshape(geom.height - 2, geom.width - 2)
+    return GridField(geom, full)
 
 
 def face_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +281,7 @@ def textbook_reduced_pcg(
     r = f - flux_apply(x, cx, cy, g)
     r_norm = math.sqrt(_dot(r.ravel(), r.ravel()))
     if r_norm <= tol:
-        return GridField(geom, x), CgStats(0, r_norm / f_norm, 0.0, 1, 0)
+        return GridField(geom, x), CgStats(0, r_norm / f_norm, 0, 1, 0)
 
     diag = flux_diagonal(cx, cy, g)
     dinv_red = np.where(inner & ~black, 1.0 / diag, 0.0)
@@ -211,7 +316,7 @@ def textbook_reduced_pcg(
     solution = GridField(geom, zero_rim(np.where(black, x, x_red)))
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
-    return solution, CgStats(k, r_norm / f_norm, 0.0, 1, k + 1)
+    return solution, CgStats(k, r_norm / f_norm, 0, 1, k + 1)
 
 
 def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
@@ -220,7 +325,7 @@ def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, I
     The reference for the projected start: the same loop and bookkeeping,
     calling ``step`` without a subspace.
     """
-    z = presmooth(null_hypothesis(mask), cfg.presmooth_steps)
+    z = null_hypothesis(mask)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z_next, record = step(z, cfg)

@@ -18,15 +18,11 @@ from illushape import (
     cg_solve,
     connected_components,
     default_model,
-    dense_solve_oracle,
     extract_shape,
-    first_variation,
     iou,
     null_hypothesis,
-    profile_measure_1d,
     run,
     step,
-    surrogate_energy,
 )
 from illushape.cli import run_command, write_pgm
 from illushape.fixtures import (
@@ -37,7 +33,14 @@ from illushape.fixtures import (
     mask_to_pixels,
 )
 
-from helpers import random_instance, random_phase
+from helpers import (
+    dense_solve_oracle,
+    first_variation,
+    profile_measure_1d,
+    random_instance,
+    random_phase,
+    surrogate_energy,
+)
 
 
 @pytest.fixture(scope="module")

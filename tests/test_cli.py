@@ -157,6 +157,8 @@ def test_run_command_rejects_bad_flags(tmp_path):
             assert run_command(base + [flag, bad]) == 1
     assert run_command(base + ["--threshold", "1.5"]) == 1
     assert run_command(base + ["--epsilon-factor", "0.1"]) == 1
+    assert run_command(base + ["--presmooth", "-1"]) == 1
+    assert run_command(base + ["--snapshot-every", "-1"]) == 1
     assert run_command(base + ["--unknown-flag"]) == 1
     assert not out.exists()
 

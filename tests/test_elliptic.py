@@ -13,23 +13,23 @@ from illushape import (
     StartSubspace,
     apply_operator,
     cg_solve,
-    dense_matrix,
-    dense_solve_oracle,
-    first_variation,
     linearize,
-    surrogate_target,
     total_energy,
 )
 from illushape import energy
 from illushape.grid import zero_rim
 
 from helpers import (
+    dense_matrix,
+    dense_solve_oracle,
     face_coefficients,
+    first_variation,
     flux_apply,
     flat_model,
     random_instance,
     random_model,
     random_phase,
+    surrogate_target,
     textbook_reduced_pcg,
 )
 
@@ -157,7 +157,7 @@ def interior(a):
 def assert_same_solve(got, expected):
     (x, stats), (x_ref, stats_ref) = got, expected
     assert np.array_equal(x.values.view(np.uint64), x_ref.values.view(np.uint64))
-    assert stats == stats_ref
+    assert repr(stats) == repr(stats_ref)  # an int/float drift in a field fails too
 
 
 def test_cg_matches_textbook_pcg_bitwise():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from illushape import GridField, GridGeometry, gradient_magnitude, quadrature_sum, rms_diff
+from illushape import GridField, GridGeometry, gradient_magnitude, rms_diff
 
 
 def test_spacing_is_inverse_longest_side():
@@ -97,27 +97,3 @@ def test_rms_diff_triangle_inequality_and_definiteness():
         assert rms_diff(a, b) > 0.0
     f = GridField(geom, rng.normal(size=geom.shape))
     assert rms_diff(f, GridField(geom, f.values.copy())) == 0.0
-
-
-def test_quadrature_unit_square_and_zero():
-    geom = GridGeometry(8, 8)
-    assert quadrature_sum(GridField.full(geom, 1.0)) == pytest.approx(1.0, rel=1e-15)
-    assert quadrature_sum(GridField.zeros(geom)) == 0.0
-
-
-def test_quadrature_counts_marked_cells():
-    rng = np.random.default_rng(3)
-    geom = GridGeometry(10, 7)
-    v = np.zeros(geom.shape)
-    v.flat[rng.choice(geom.cells, size=23, replace=False)] = 1.0
-    assert quadrature_sum(GridField(geom, v)) == pytest.approx(23 * geom.h**2, rel=1e-12)
-
-
-def test_quadrature_linearity():
-    rng = np.random.default_rng(5)
-    geom = GridGeometry(9, 9)
-    a = rng.normal(size=geom.shape)
-    b = rng.normal(size=geom.shape)
-    lhs = quadrature_sum(GridField(geom, a + b))
-    rhs = quadrature_sum(GridField(geom, a)) + quadrature_sum(GridField(geom, b))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)

@@ -19,12 +19,11 @@ from illushape import (
     presmooth,
     run,
     step,
-    surrogate_energy,
     total_energy,
 )
 from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
-from helpers import plain_run, random_phase
+from helpers import plain_run, random_phase, surrogate_energy
 
 
 @pytest.fixture(scope="module")
@@ -219,18 +218,19 @@ def test_run_respects_outer_budget(small_setup):
 
 
 def test_run_emits_read_only_snapshots(small_setup):
+    # the one step hook sees every step in order, with its record and iterate
     mask, _ = small_setup
-    cfg = SolverConfig(model=default_model(mask), max_outer=5, snapshot_every=2)
+    cfg = SolverConfig(model=default_model(mask), max_outer=5)
     seen = []
 
-    def sink(n, field):
-        seen.append(n)
+    def sink(record, field):
+        seen.append(record.index)
+        assert record.energy == total_energy(field, cfg.model)
         with pytest.raises(ValueError):
             field.values[1, 1] = 2.0
 
-    _, report = run(mask, cfg, snapshot_sink=sink)
-    expected = [n for n in range(1, len(report.steps) + 1) if n % 2 == 0]
-    assert seen == expected
+    _, report = run(mask, cfg, step_sink=sink)
+    assert seen == [s.index for s in report.steps] == list(range(1, 6))
 
 
 def test_run_energy_matches_recomputation(small_setup):
@@ -248,4 +248,4 @@ def test_config_validation(small_setup):
     with pytest.raises(ValueError):
         SolverConfig(model=model, max_outer=0)
     with pytest.raises(ValueError):
-        SolverConfig(model=model, presmooth_steps=-1)
+        presmooth(null_hypothesis(mask), -1)
