@@ -72,9 +72,11 @@ def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
     header = []
     for what in ("width", "height", "maxval"):
         last = next(tokens)
-        try:
+        try:  # int() alone would also take a sign or "_" between digits
+            if not last[1].isdigit():
+                raise ValueError
             header.append(int(last[1]))
-        except ValueError:
+        except ValueError:  # or more digits than int() reads
             raise PgmFormatError(f"bad or missing graymap {what}: {last[1]!r}") from None
     width, height, maxval = header
     if min(header) <= 0:
@@ -93,13 +95,20 @@ def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
     else:
         if n > len(data):  # each sample takes at least one byte
             raise PgmFormatError("truncated P2 raster")
-        try:  # empty tokens come only at the end, so dropping them leaves a short list
-            values = list(map(int, filter(None, (m[1] for m in islice(tokens, n)))))
-        except ValueError as exc:
-            raise PgmFormatError(f"bad P2 sample: {exc}") from None
+        # empty tokens come only at the end, so dropping them leaves a short list
+        samples = filter(None, (m[1] for m in islice(tokens, n)))
+        values = []
+        while chunk := list(islice(samples, 4096)):  # a bounded number of token objects at once
+            if not all(map(bytes.isdigit, chunk)):  # int() would also take a sign or "_"
+                bad = next(t for t in chunk if not t.isdigit())
+                raise PgmFormatError(f"bad P2 sample: {bad!r}")
+            try:
+                values += map(int, chunk)
+            except ValueError:  # more digits than int() reads
+                raise PgmFormatError(f"P2 sample outside [0, {maxval}]") from None
         if len(values) < n:
             raise PgmFormatError("truncated P2 raster")
-        if min(values) < 0 or max(values) > maxval:
+        if max(values) > maxval:
             raise PgmFormatError(f"P2 sample outside [0, {maxval}]")
         pixels = np.array(values, dtype=np.uint8).reshape(height, width)
     return width, height, maxval, pixels
@@ -182,14 +191,15 @@ def _write_energy_csv(path, report) -> None:
 
     lines = [
         "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications"
+        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications,"
+        "retried"
     ]
     for s in report.steps:
         lines.append(
             f"{s.index},{fmt(s.energy)},{fmt(s.rho)},{fmt(s.rms_update)},"
             f"{s.cg_iters},{fmt(s.cg_residual)},{fmt(s.drop_bound)},"
             f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{s.start_rank},"
-            f"{s.full_applications},{s.reduced_applications}"
+            f"{s.full_applications},{s.reduced_applications},{s.retried}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

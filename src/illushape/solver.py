@@ -33,16 +33,6 @@ __all__ = [
 ]
 
 
-# The projected CG start runs only at inner tolerances this tight or tighter.
-# At 1e-6 the outer trajectory would hold (ellipse-triangle 192x128: final
-# energies within 7.3e-10 relative of the plain start's, steps within 1), but
-# the step's range check would not: the pre-clamp excursion the start leaves
-# grows with the grid, to 0.06, 0.20 and 0.41 of the 10 * rel_tol limit on
-# Kanizsa 96^2, 192^2 and 256^2 (the plain start: 0.09 at 256^2), and Kanizsa
-# 512^2 raises RangePreservationError at step 198 (1.056e-5 > 1e-5), where the
-# plain start peaks at 4.0e-7 over 800 steps.
-PREDICT_MAX_TOL = 1e-8
-
 # The projected start searches the span of this many last iterate differences.
 START_DIRECTIONS = 6
 
@@ -75,10 +65,13 @@ class StepRecord:
     pre-clamp range, ``run`` the rest.  ``rho`` and ``drop_bound`` compare
     this iterate with its successor, so they stay NaN on the final record.
     ``start_rank`` is the number of directions the inner solve's projected
-    start kept, 0 when no start ran.  ``cg_iters`` counts the inner
-    solve's iterations on the reduced system; ``full_applications`` and
-    ``reduced_applications`` its applications of the full and the reduced
-    operator."""
+    start kept, 0 when no start ran.  ``retried`` is 1 when the step solved
+    again from z_n because the projected start's solve left the range
+    limit, else 0.  ``cg_iters`` counts the inner solves' iterations on the
+    reduced system; ``full_applications`` and ``reduced_applications`` their
+    applications of the full and the reduced operator.  These three work
+    counts add up both solves of a retried step; every other field
+    describes the solve that was kept."""
 
     cg_iters: int
     cg_residual: float
@@ -87,6 +80,7 @@ class StepRecord:
     start_rank: int = 0
     full_applications: int = 0
     reduced_applications: int = 0
+    retried: int = 0
     index: int = 0
     energy: float = math.nan
     rho: float = math.nan
@@ -108,8 +102,9 @@ class IterationReport:
 
         Counts the energy rises and the steps whose energy drop ``rho``
         falls short of ``drop_bound``, each beyond the slack
-        ``AUDIT_RTOL * (1 + E_1)`` with E_1 the first step's energy, and
-        gives the largest pre-clamp excursion outside [0, 1].
+        ``AUDIT_RTOL * (1 + E_1)`` with E_1 the first step's energy,
+        gives the largest pre-clamp excursion outside [0, 1], and counts the
+        retried steps, which are no failure.
         """
         slack = AUDIT_RTOL * (1.0 + self.steps[0].energy)
         return {
@@ -118,6 +113,7 @@ class IterationReport:
             "range_excursion_max": max(
                 max(0.0, -s.pre_clamp_min, s.pre_clamp_max - 1.0) for s in self.steps
             ),
+            "retries": sum(s.retried for s in self.steps),
         }
 
     def rho_ratio(self) -> float | None:
@@ -194,26 +190,36 @@ def step(
     The exact inner solution of an iterate in [0, 1] stays in [0, 1]; the
     finite solver tolerance may overshoot by a sliver, which is clamped.  An
     excursion beyond 10x the inner tolerance is treated as a defect and
-    raises instead of being silently clamped away.
+    raises instead of being silently clamped away.  A solve from a projected
+    start can leave that limit where the plain start from z_n does not, so
+    such a solve is first repeated on the same linearization from z_n, and
+    the step raises only if that solve leaves the limit too.
     """
     data = linearize(z_n, cfg.model)
-    solution, cg_stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, subspace=subspace)
-    pre_min = float(solution.values.min())
-    pre_max = float(solution.values.max())
-    zn_min = float(z_n.values.min())
-    zn_max = float(z_n.values.max())
+    solution, stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, subspace=subspace)
+    pre_min, pre_max = float(solution.values.min()), float(solution.values.max())
+    checked = 0.0 <= float(z_n.values.min()) and float(z_n.values.max()) <= 1.0
+    limit = 10.0 * cfg.cg.rel_tol
+    spent = None
+    if checked and stats.start_rank > 0 and max(-pre_min, pre_max - 1.0) > limit:
+        spent = stats
+        solution, stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n)
+        pre_min, pre_max = float(solution.values.min()), float(solution.values.max())
     excursion = max(-pre_min, pre_max - 1.0, 0.0)
-    if 0.0 <= zn_min and zn_max <= 1.0 and excursion > 10.0 * cfg.cg.rel_tol:
+    if checked and excursion > limit:
         raise RangePreservationError(
-            f"pre-clamp excursion {excursion:.3e} exceeds 10 * rel_tol "
-            f"= {10.0 * cfg.cg.rel_tol:.3e}"
+            f"pre-clamp excursion {excursion:.3e} exceeds 10 * rel_tol = {limit:.3e}"
         )
-    clamped = np.clip(solution.values, 0.0, 1.0)
     record = StepRecord(
-        cg_stats.iterations, cg_stats.residual, pre_min, pre_max, cg_stats.start_rank,
-        cg_stats.full_applications, cg_stats.reduced_applications,
+        stats.iterations, stats.residual, pre_min, pre_max, stats.start_rank,
+        stats.full_applications, stats.reduced_applications,
     )
-    return PhaseField(z_n.geometry, clamped), record
+    if spent is not None:
+        record.retried = 1
+        record.cg_iters += spent.iterations
+        record.full_applications += spent.full_applications
+        record.reduced_applications += spent.reduced_applications
+    return PhaseField(z_n.geometry, np.clip(solution.values, 0.0, 1.0)), record
 
 
 def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
@@ -240,16 +246,17 @@ def run(
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
 
-    When ``cfg.cg.rel_tol <= PREDICT_MAX_TOL``, each inner solve after the
-    first starts from a projection: the last ``START_DIRECTIONS`` iterate
-    differences (fewer while the run is young) span a subspace, and
-    ``cg_solve`` starts from the best point of z_n plus that span.
+    Each inner solve after the first starts from a projection: the last
+    ``START_DIRECTIONS`` iterate differences (fewer while the run is young)
+    span a subspace, and ``cg_solve`` starts from the best point of z_n
+    plus that span; ``step`` falls back to z_n when that solve leaves the
+    range limit.
     """
     z = initial if initial is not None else null_hypothesis(mask)
     del initial  # so the first iterate is freed once the second replaces it
     require_same_geometry(z, cfg.model)
 
-    ring = StartSubspace(START_DIRECTIONS) if cfg.cg.rel_tol <= PREDICT_MAX_TOL else None
+    ring = StartSubspace(START_DIRECTIONS)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z_next, record = step(z, cfg, ring)
@@ -263,8 +270,7 @@ def run(
         report.steps.append(record)
         if step_sink is not None:
             step_sink(record, z_next)
-        if ring is not None:
-            ring.push(z_next.values, z.values)
+        ring.push(z_next.values, z.values)
         z = z_next
         if record.rms_update <= cfg.delta:
             report.status = "converged"

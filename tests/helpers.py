@@ -319,11 +319,19 @@ def textbook_reduced_pcg(
     return solution, CgStats(k, r_norm / f_norm, 0, 1, k + 1)
 
 
+def above_one(solution: GridField) -> GridField:
+    """``solution`` with its middle cell set 1e-3 above 1, far past the step's range limit."""
+    values = solution.values.copy()
+    values[values.shape[0] // 2, values.shape[1] // 2] = 1.0 + 1e-3
+    return GridField(solution.geometry, values)
+
+
 def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     """``solver.run`` with every inner solve started at z_n, never at a projection.
 
-    The reference for the projected start: the same loop and bookkeeping,
-    calling ``step`` without a subspace.
+    The reference for the projected start and for the step's retry from z_n:
+    the same loop and bookkeeping, calling ``step`` without a subspace, so
+    no step is retried.
     """
     z = null_hypothesis(mask)
     report = IterationReport()

@@ -20,6 +20,8 @@ from illushape.cli import (
 )
 from illushape.fixtures import kanizsa_triangle, mask_to_pixels
 
+from helpers import above_one
+
 
 def test_p5_round_trip(tmp_path):
     rng = np.random.default_rng(1)
@@ -70,6 +72,14 @@ def test_rejects_non_pgm_and_wide_samples(tmp_path):
         b"P2\n2 2\n255\n0 -1 2 3\n",
         b"P2\n2 2\n255\n0 1 2 " + str(10**25).encode() + b"\n",
         b"P2\n4294967296 4294967296\n255\n0 1 2 3\n",
+        # int() reads these as 16, 16, 255 and 25; a graymap has digits only
+        b"P2\n1_6 2\n255\n" + b"0 " * 32,
+        b"P2\n2 +16\n255\n" + b"0 " * 32,
+        b"P2\n2 2\n2_55\n0 1 2 3\n",
+        b"P2\n2 2\n255\n0 1 2_5 3\n",
+        # more digits than int() reads by default
+        b"P2\n2 " + b"1" * 5000 + b"\n255\n0 1 2 3\n",
+        b"P2\n2 2\n255\n0 1 2 " + b"1" * 5000 + b"\n",
     ):
         plain.write_bytes(data)
         with pytest.raises(PgmFormatError):
@@ -184,7 +194,8 @@ def test_run_command_end_to_end(tmp_path):
     lines = (out / "energy.csv").read_text().strip().splitlines()
     assert lines[0] == (
         "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications"
+        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications,"
+        "retried"
     )
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     energies = [row[1] for row in rows]
@@ -198,6 +209,7 @@ def test_run_command_end_to_end(tmp_path):
     # ring holds at most six differences
     assert rows[0][9] == 0.0 and any(row[9] > 0.0 for row in rows)
     assert all(row[9] in range(7) for row in rows)
+    assert all(row[12] == 0.0 for row in rows)
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
@@ -218,6 +230,7 @@ def test_run_command_end_to_end(tmp_path):
     assert summary["audit"]["energy_increases"] == 0
     assert summary["audit"]["drop_bound_misses"] == 0
     assert 0.0 <= summary["audit"]["range_excursion_max"] <= 1e-9
+    assert summary["audit"]["retries"] == 0
 
 
 def test_run_command_warns_on_empty_shape(tmp_path, capsys):
@@ -314,6 +327,31 @@ def test_run_command_audit_exits_3_on_energy_rise(tmp_path, monkeypatch, capsys)
     assert summary["status"] == "max_outer_reached"
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("illushape: audit failed: 1 energy increase")
+
+
+def test_run_command_reports_a_range_failure(tmp_path, monkeypatch, capsys):
+    # every inner solve leaves [0, 1], so the step raises whatever start it took
+    from illushape import solver
+
+    real_cg_solve = solver.cg_solve
+
+    def out_of_range(*args, **kwargs):
+        solution, stats = real_cg_solve(*args, **kwargs)
+        return above_one(solution), stats
+
+    monkeypatch.setattr(solver, "cg_solve", out_of_range)
+    mask = kanizsa_triangle(48, 48)
+    cfg = solver.SolverConfig(model=solver.default_model(mask))
+    with pytest.raises(solver.RangePreservationError):
+        solver.step(solver.null_hypothesis(mask), cfg)
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(mask))
+    assert run_command(["--input", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("illushape: solver failure: pre-clamp excursion")
+    assert "Traceback" not in captured.err
 
 
 def test_run_command_budget_exit_code(tmp_path):

@@ -12,7 +12,9 @@ import illushape
 from illushape import (
     CgParams,
     PhaseField,
+    RangePreservationError,
     SolverConfig,
+    StartSubspace,
     default_model,
     extract_shape,
     null_hypothesis,
@@ -21,9 +23,10 @@ from illushape import (
     step,
     total_energy,
 )
+from illushape import solver
 from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
-from helpers import plain_run, random_phase, surrogate_energy
+from helpers import above_one, plain_run, random_phase, surrogate_energy
 
 
 @pytest.fixture(scope="module")
@@ -162,42 +165,81 @@ def test_step_does_not_depend_on_blas_threads():
 
 
 @pytest.mark.parametrize(
-    "make_mask",
-    [lambda: kanizsa_triangle(128, 128), ellipse_triangle, illusory_disk],
-    ids=["kanizsa-128", "ellipse-triangle", "disk"],
+    "make_mask, rel_tol",
+    [
+        (lambda: kanizsa_triangle(128, 128), 1e-10),
+        (ellipse_triangle, 1e-10),
+        (illusory_disk, 1e-10),
+        (lambda: kanizsa_triangle(128, 128), 1e-6),
+        (illusory_disk, 1e-6),
+    ],
+    ids=["kanizsa-128", "ellipse-triangle", "disk", "kanizsa-128-cgtol6", "disk-cgtol6"],
 )
-def test_predicted_start_keeps_the_plain_trajectory(make_mask):
-    # at the default tolerance the projected start changes the work, not the result
+def test_predicted_start_keeps_the_plain_trajectory(make_mask, rel_tol):
+    # the projected start changes the work, not the result: at the default tolerance
+    # the same steps and final energy to 1e-12, at a loose one steps within 1 and
+    # final energy to 1e-9
+    loose = rel_tol > CgParams().rel_tol
     mask = make_mask()
-    cfg = SolverConfig(model=default_model(mask))
+    cfg = SolverConfig(model=default_model(mask), cg=CgParams(rel_tol=rel_tol))
     z, report = run(mask, cfg)
     z_plain, plain = plain_run(mask, cfg)
     assert report.status == plain.status == "converged"
-    assert len(report.steps) == len(plain.steps)
+    assert abs(len(report.steps) - len(plain.steps)) <= (1 if loose else 0)
     energy, want = report.steps[-1].energy, plain.steps[-1].energy
-    assert abs(energy - want) <= 1e-12 * abs(want)
+    assert abs(energy - want) <= (1e-9 if loose else 1e-12) * abs(want)
     assert np.array_equal(extract_shape(z).inside, extract_shape(z_plain).inside)
     slack = 1e-9 * (1.0 + report.steps[0].energy)
     assert all(s.rho >= s.drop_bound - slack for s in report.steps[:-1])
-    assert max(max(-s.pre_clamp_min, s.pre_clamp_max - 1.0, 0.0) for s in report.steps) <= 1e-9
+    excursion = max(max(-s.pre_clamp_min, s.pre_clamp_max - 1.0, 0.0) for s in report.steps)
+    assert excursion <= 10.0 * rel_tol
     assert report.steps[0].start_rank == 0
     assert any(s.start_rank > 0 for s in report.steps)
     assert sum(s.cg_iters for s in report.steps) < sum(s.cg_iters for s in plain.steps)
 
 
-def test_loose_tolerance_keeps_the_plain_start_bitwise():
-    mask = kanizsa_triangle(64, 64)
-    cfg = SolverConfig(model=default_model(mask), cg=CgParams(rel_tol=1e-6))
-    z, report = run(mask, cfg)
-    z_plain, plain = plain_run(mask, cfg)
-    assert np.array_equal(z.values, z_plain.values)
-    assert len(report.steps) == len(plain.steps) > 1
-    assert all(_same_record(a, b) for a, b in zip(report.steps, plain.steps))
-    assert all(s.start_rank == 0 for s in report.steps)
-    assert report.el_residual == plain.el_residual
-    # from the tolerance rule's threshold on, the projected start runs
-    _, tight = run(mask, dataclasses.replace(cfg, cg=CgParams(rel_tol=1e-8)))
-    assert any(s.start_rank > 0 for s in tight.steps)
+def test_step_retries_a_projected_start_that_leaves_the_range(small_setup, monkeypatch):
+    mask, cfg = small_setup
+    z0 = null_hypothesis(mask)
+    z1, _ = step(z0, cfg)
+    z2, _ = step(z1, cfg)
+    ring = StartSubspace(solver.START_DIRECTIONS)
+    ring.push(z1.values, z0.values)
+    ring.push(z2.values, z1.values)
+    want, plain = step(z2, cfg)
+
+    real_cg_solve = solver.cg_solve
+    solves = []
+
+    def projected_out_of_range(*args, subspace=None, **kwargs):
+        solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
+        solves.append(stats)
+        return (above_one(solution) if subspace is not None and subspace.count else solution), stats
+
+    monkeypatch.setattr(solver, "cg_solve", projected_out_of_range)
+    z3, record = step(z2, cfg, ring)
+    first, second = solves
+    assert first.start_rank > 0 and second.start_rank == 0
+    # the retry solves from z_n as a step without a subspace does, and keeps its outcome
+    assert np.array_equal(z3.values, want.values)
+    assert record.retried == 1 and plain.retried == 0
+    assert record.cg_iters == first.iterations + second.iterations == first.iterations + plain.cg_iters
+    assert record.full_applications == first.full_applications + plain.full_applications
+    assert record.reduced_applications == first.reduced_applications + plain.reduced_applications
+    assert (record.cg_residual, record.start_rank) == (plain.cg_residual, 0)
+    assert (record.pre_clamp_min, record.pre_clamp_max) == (plain.pre_clamp_min, plain.pre_clamp_max)
+
+    # when the retry leaves the range as well, the step raises
+    def out_of_range(*args, **kwargs):
+        solution, stats = real_cg_solve(*args, **kwargs)
+        solves.append(stats)
+        return above_one(solution), stats
+
+    solves.clear()
+    monkeypatch.setattr(solver, "cg_solve", out_of_range)
+    with pytest.raises(RangePreservationError, match="pre-clamp excursion 1.000e-03"):
+        step(z2, cfg, ring)
+    assert len(solves) == 2
 
 
 def test_run_from_zero_field_stops_immediately(small_setup):
