@@ -8,7 +8,6 @@ import math
 import re
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,16 @@ __all__ = [
 # One graymap token with the whitespace and "#" comments (to the end of the
 # line) before it; the token is empty only where the data end.
 _TOKEN = re.compile(rb"\s*(?:#[^\r\n]*\s*)*(\S*)")
+_SPACE = re.compile(rb"\s")
+
+# Byte classes of a P2 raster: the whitespace of _TOKEN (the \s of a bytes
+# pattern), its line ends, which close a comment, and the digits.
+_WHITE, _LINE_END, _DIGIT = 1, 2, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\r\x0b\x0c")] |= _WHITE
+_BYTE_CLASS[list(b"\r\n")] |= _LINE_END
+_BYTE_CLASS[list(b"0123456789")] |= _DIGIT
+_P2_BLOCK = 1 << 16  # raster bytes per numpy pass, so temporaries stay O(block)
 
 
 class PgmFormatError(ValueError):
@@ -75,7 +84,8 @@ def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
         try:  # int() alone would also take a sign or "_" between digits
             if not last[1].isdigit():
                 raise ValueError
-            header.append(int(last[1]))
+            # without leading zeros, which int() would count against its digit limit
+            header.append(int(last[1].lstrip(b"0") or b"0"))
         except ValueError:  # or more digits than int() reads
             raise PgmFormatError(f"bad or missing graymap {what}: {last[1]!r}") from None
     width, height, maxval = header
@@ -95,23 +105,67 @@ def _read_graymap(path) -> tuple[int, int, int, np.ndarray]:
     else:
         if n > len(data):  # each sample takes at least one byte
             raise PgmFormatError("truncated P2 raster")
-        # empty tokens come only at the end, so dropping them leaves a short list
-        samples = filter(None, (m[1] for m in islice(tokens, n)))
-        values = []
-        while chunk := list(islice(samples, 4096)):  # a bounded number of token objects at once
-            if not all(map(bytes.isdigit, chunk)):  # int() would also take a sign or "_"
-                bad = next(t for t in chunk if not t.isdigit())
-                raise PgmFormatError(f"bad P2 sample: {bad!r}")
-            try:
-                values += map(int, chunk)
-            except ValueError:  # more digits than int() reads
-                raise PgmFormatError(f"P2 sample outside [0, {maxval}]") from None
-        if len(values) < n:
-            raise PgmFormatError("truncated P2 raster")
-        if max(values) > maxval:
-            raise PgmFormatError(f"P2 sample outside [0, {maxval}]")
-        pixels = np.array(values, dtype=np.uint8).reshape(height, width)
+        pixels = _p2_raster(data, last.end(), n, maxval).reshape(height, width)
     return width, height, maxval, pixels
+
+
+def _p2_raster(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray:
+    """The first ``n`` samples of the P2 raster that starts at ``data[pos]``, flat.
+
+    Tokens follow ``_TOKEN``: runs of non-whitespace, where a ``#`` that
+    starts a token instead opens a comment that runs to the next CR or LF.
+    The raster is read in blocks of about ``_P2_BLOCK`` bytes, each ending
+    just after a whitespace byte, so no token crosses a block boundary; a
+    comment still open at a block's end carries into the next.  A sample is
+    built from place values capped at 10^3, so an overlong sample still
+    exceeds every maxval while leading zeros cost nothing.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    pixels = np.empty(n, dtype=np.uint8)
+    count = peak = 0
+    in_comment = False
+    while count < n and pos < len(data):
+        space = _SPACE.search(data, pos + _P2_BLOCK - 1)
+        stop = space.end() if space else len(data)
+        block = raw[pos:stop]
+        kind = _BYTE_CLASS[block]
+        white = (kind & _WHITE).astype(bool)
+        # a "#" opens a comment where a token would start: after whitespace
+        # (the raster starts at a whitespace byte, every later block after one)
+        opens = block == ord("#")
+        opens[1:] &= white[:-1]
+        opens[0] |= in_comment
+        if opens.any():
+            at = np.arange(len(block))
+            last_open = np.maximum.accumulate(np.where(opens, at, -1))
+            last_end = np.maximum.accumulate(np.where(kind & _LINE_END, at, -1))
+            comment = last_open > last_end
+            in_comment = bool(comment[-1])
+            white |= comment
+        edges = np.flatnonzero(np.diff(~white, prepend=False, append=False))
+        starts, ends = edges[0::2][: n - count], edges[1::2][: n - count]
+        if len(starts):
+            used = slice(0, ends[-1])
+            bad = ~white[used] & ~(kind[used] & _DIGIT).astype(bool)
+            if bad.any():
+                t = np.searchsorted(starts, np.argmax(bad), side="right") - 1
+                raise PgmFormatError(f"bad P2 sample: {bytes(block[starts[t] : ends[t]])!r}")
+            digits = np.where(white[used], 0, block[used].astype(np.int64) - ord("0"))
+            # every digit above the hundreds place counts 1000, the last three their place value
+            total = np.concatenate(([0], np.cumsum(digits)))
+            values = 1000 * (total[np.maximum(ends - 3, starts)] - total[starts])
+            for place, scale in ((1, 1), (2, 10), (3, 100)):
+                i = ends - place
+                values += np.where(i >= starts, scale * digits[np.maximum(i, starts)], 0)
+            peak = max(peak, int(values.max()))
+            pixels[count : count + len(values)] = np.minimum(values, 255)
+            count += len(values)
+        pos = stop
+    if count < n:
+        raise PgmFormatError("truncated P2 raster")
+    if peak > maxval:
+        raise PgmFormatError(f"P2 sample outside [0, {maxval}]")
+    return pixels
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

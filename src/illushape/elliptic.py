@@ -88,8 +88,9 @@ class CgConvergenceError(RuntimeError):
 
 def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     """Coefficients of the inner linear problem frozen at iterate z_n."""
-    g = _surrogate_weight(z_n, p) + p.lam * p.mask.inside
     f = 3.0 * p.canyon.values * np.square(z_n.values)
+    g = _surrogate_weight(z_n, p)
+    np.add(g, p.lam, out=g, where=p.mask.inside)
     return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
 
 

@@ -120,7 +120,11 @@ def _surrogate_weight(z_n: PhaseField, p: ModelParams) -> np.ndarray:
     The linearized operator is assembled from the same weight.
     """
     require_same_geometry(z_n, p)
-    return p.canyon.values * (1.0 + 2.0 * np.square(z_n.values))
+    weight = np.square(z_n.values)
+    weight *= 2.0
+    weight += 1.0
+    weight *= p.canyon.values
+    return weight
 
 
 def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams) -> float:
@@ -134,8 +138,16 @@ def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams) -> floa
     require_same_geometry(new, p)
     a = prev.values
     b = new.values
-    m = 0.5 * (a + b)
     h = p.geometry.h
-    factor = 2.0 * a + 4.0 * m * (1.0 - m)
-    integrand = p.canyon.values * np.square(b - a) * factor
+    # in place, rounding as G (b - a)^2 (2 a + 4 m (1 - m)) with m = (a + b) / 2
+    m = np.add(a, b)
+    m *= 0.5
+    factor = np.subtract(1.0, m)
+    m *= 4.0
+    factor *= m
+    factor += np.multiply(a, 2.0, out=m)
+    integrand = np.subtract(b, a, out=m)
+    np.square(integrand, out=integrand)
+    integrand *= p.canyon.values
+    integrand *= factor
     return float(h * h / (2.0 * p.epsilon) * np.sum(integrand))

@@ -42,40 +42,63 @@ def extract_shape(z: GridField, threshold: float = 0.5) -> ShapeMask:
 
 
 def connected_components(mask: ShapeMask) -> ComponentSet:
-    """Label 4-connected components by breadth-first flood fill.
+    """Label 4-connected components by joining the row runs of the mask.
 
-    Labels are assigned in the raster order of each component's first cell,
-    so the labeling is deterministic.  Centroids are mean (row, col) cell
-    indices.
+    Each row's runs of shape cells are joined, in a union-find over runs,
+    to the runs of the row above that they overlap.  Every component's root
+    is its first run in raster order, so labels are assigned in the raster
+    order of each component's first cell and the labeling is deterministic.
+    Centroids are mean (row, col) cell indices.
     """
     rows, cols = mask.inside.shape
     stride = cols + 2
-    # Flat list over the mask padded by one empty cell: neighbours of k are
-    # k +- 1 and k +- stride with no bounds checks.  Cells are cleared as
-    # they are queued, so ``todo`` also marks what is still unlabeled.
-    todo = np.pad(mask.inside, 1).ravel().tolist()
-    labels = np.zeros((rows + 2) * stride, dtype=int)
-    areas: list[int] = []
-    centroids: list[tuple[float, float]] = []
-    for k0, unlabeled in enumerate(todo):
-        if not unlabeled:
-            continue
-        todo[k0] = False
-        queue = [k0]
-        for k in queue:
-            for n in (k - stride, k + stride, k - 1, k + 1):
-                if todo[n]:
-                    todo[n] = False
-                    queue.append(n)
-        area = len(queue)
-        labels[queue] = len(areas) + 1
-        row_sum = sum(k // stride for k in queue) - area
-        col_sum = sum(k % stride for k in queue) - area
-        areas.append(area)
-        centroids.append((row_sum / area, col_sum / area))
-    labels = labels.reshape(rows + 2, stride)[1:-1, 1:-1]
+    # Flat positions in the mask padded by an empty column on each side, so
+    # no run crosses a row: a run is [start, end) with a rise at start and a
+    # fall at end.
+    flat = np.pad(mask.inside, ((0, 0), (1, 1))).ravel()
+    edges = np.flatnonzero(np.diff(flat)) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # the runs of the row above that overlap run k are runs above_lo[k] up to
+    # above_hi[k] (exclusive)
+    above_lo = np.searchsorted(ends, starts - stride, side="right")
+    above_hi = np.searchsorted(starts, ends - stride, side="left")
+    overlaps = above_hi - above_lo
+    below = np.repeat(np.arange(len(starts)), overlaps)
+    above = np.repeat(above_lo - np.cumsum(overlaps) + overlaps, overlaps) + np.arange(len(below))
+    # union-find over runs: hook every root onto the smallest root it touches,
+    # then compress the paths, until every join lies inside one tree
+    parent = np.arange(len(starts))
+    while True:
+        a, b = parent[above], parent[below]
+        joins = a != b
+        if not joins.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    root = parent == np.arange(len(starts))
+    run_label = np.cumsum(root)[parent]
+    count = int(root.sum())
+    # exact integer sums per component; float64 holds them exactly below 2^53
+    length = ends - starts
+    row = starts // stride
+    first_col = starts % stride - 1
+    areas = np.bincount(run_label, weights=length, minlength=count + 1)[1:]
+    row_sums = np.bincount(run_label, weights=row * length, minlength=count + 1)[1:]
+    col_sums = np.bincount(
+        run_label, weights=(2 * first_col + length - 1) * length // 2, minlength=count + 1
+    )[1:]
+    marks = np.zeros(rows * stride, dtype=int)  # a run's fall lands at most on its row's pad
+    marks[starts] = run_label
+    marks[ends] -= run_label
+    labels = np.cumsum(marks).reshape(rows, stride)[:, 1:-1]
     labels.setflags(write=False)
-    return ComponentSet(len(areas), labels, tuple(areas), tuple(centroids))
+    return ComponentSet(
+        count,
+        labels,
+        tuple(int(a) for a in areas),
+        tuple(zip((row_sums / areas).tolist(), (col_sums / areas).tolist())),
+    )
 
 
 def iou(a: ShapeMask, b: ShapeMask) -> float:

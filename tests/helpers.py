@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from illushape import (
     step,
     total_energy,
 )
+from illushape.cli import _TOKEN, PgmFormatError
 from illushape.elliptic import _dot
 from illushape.energy import _face_form, _surrogate_weight
 from illushape.grid import face_means, require_same_geometry, rms_diff, zero_rim
@@ -351,3 +353,28 @@ def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, I
             break
     report.el_residual = euler_lagrange_residual(z, cfg.model)
     return z, report
+
+
+def reference_p2_raster(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray:
+    """``cli._p2_raster`` as a loop of one ``_TOKEN`` match and one ``int`` per sample.
+
+    The reference for the blocked numpy reader: the same samples, and a
+    ``PgmFormatError`` with the same message for a bad sample, a truncated
+    raster or a sample above ``maxval``.
+    """
+    # empty tokens come only at the end, so dropping them leaves a short list
+    samples = filter(None, (m[1] for m in islice(_TOKEN.finditer(data, pos), n)))
+    values = []
+    while chunk := list(islice(samples, 4096)):  # a bounded number of token objects at once
+        if not all(map(bytes.isdigit, chunk)):  # int() would also take a sign or "_"
+            bad = next(t for t in chunk if not t.isdigit())
+            raise PgmFormatError(f"bad P2 sample: {bad!r}")
+        try:  # leading zeros do not count against int()'s digit limit
+            values += (int(t.lstrip(b"0") or b"0") for t in chunk)
+        except ValueError:  # more digits than int() reads
+            raise PgmFormatError(f"P2 sample outside [0, {maxval}]") from None
+    if len(values) < n:
+        raise PgmFormatError("truncated P2 raster")
+    if max(values) > maxval:
+        raise PgmFormatError(f"P2 sample outside [0, {maxval}]")
+    return np.array(values, dtype=np.uint8)

@@ -1,12 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illushape import GridField, GridGeometry
+from illushape import GridField, GridGeometry, cli
 from illushape.grid import rim_any
 from illushape.cli import (
     BoundaryContactError,
@@ -20,7 +21,7 @@ from illushape.cli import (
 )
 from illushape.fixtures import kanizsa_triangle, mask_to_pixels
 
-from helpers import above_one
+from helpers import above_one, reference_p2_raster
 
 
 def test_p5_round_trip(tmp_path):
@@ -46,6 +47,61 @@ def test_p2_parsing_with_comments(tmp_path):
     for raster in ("0 64 # mid-raster\n128\n192 255 7\n", "0 64 128\n192 255 7 # at EOF, no newline"):
         path.write_text(f"P2\n3 2\n255\n{raster}", encoding="ascii")
         assert np.array_equal(read_pgm(path)[2], pixels)
+    # leading zeros beyond int()'s 4,300-digit limit, in a sample and in the height
+    for data in (
+        b"P2\n2 2\n255\n0 1 2 " + b"0" * 5000 + b"7\n",
+        b"P2\n2 " + b"0" * 5000 + b"2\n255\n0 1 2 7\n",
+    ):
+        path.write_bytes(data)
+        assert np.array_equal(read_pgm(path)[2], np.array([[0, 1], [2, 7]], dtype=np.uint8))
+
+
+def _read_with_reference(path):
+    """``read_pgm`` with the P2 raster read by the per-token reference."""
+    with mock.patch.object(cli, "_p2_raster", reference_p2_raster):
+        return read_pgm(path)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except PgmFormatError as exc:
+        return str(exc)
+
+
+def test_p2_raster_across_blocks(tmp_path):
+    """A raster of several blocks, with a comment open across the first block
+    boundary and a CRLF split by the second, reads like the reference."""
+    block = cli._P2_BLOCK
+    rng = np.random.default_rng(3)
+    samples = rng.integers(0, 256, size=(200, 256))
+    tokens = iter(str(v).encode() for v in samples.ravel())
+    body = bytearray()
+
+    def fill_to(offset):  # samples until the next would pass raster offset ``offset``
+        while len(body) + 5 < offset:
+            body.extend(b" " + next(tokens))
+
+    # a block ends just after the first whitespace byte at least one block on
+    fill_to(block - 8)
+    body.extend(b" #" + b"c" * (block - 1 - len(body) - 2) + b" comment\r\n")
+    assert body[block - 1 : block] == b" "  # inside the comment
+    fill_to(2 * block - 8)
+    # a zero-padded sample runs up to the boundary, which falls between CR and LF
+    body.extend(b" " + b"0" * (2 * block - 1 - len(body) - 4) + next(tokens).rjust(3, b"0") + b"\r\n")
+    assert body[2 * block - 1 : 2 * block + 1] == b"\r\n"
+    body.extend(b"".join(b"\n" + t for t in tokens) + b"\n")
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P2\n256 200\n255" + bytes(body))
+    assert len(body) > 2 * block  # three blocks
+    assert np.array_equal(read_pgm(path)[2], samples)
+    assert np.array_equal(_read_with_reference(path)[2], samples)
+    # at every small block size, comments and CRLFs fall on block boundaries
+    small = tmp_path / "small.pgm"
+    small.write_bytes(b"P2 # a\r\n3 2\n255\r\n0 64 # mid-raster #\r\n\r\n# 9\n128\t192\r\n255 7 # end")
+    for size in range(1, 24):
+        with mock.patch.object(cli, "_P2_BLOCK", size):
+            assert np.array_equal(read_pgm(small)[2], [[0, 64, 128], [192, 255, 7]])
 
 
 def test_rejects_non_pgm_and_wide_samples(tmp_path):
@@ -68,6 +124,7 @@ def test_rejects_non_pgm_and_wide_samples(tmp_path):
     plain = tmp_path / "plain.pgm"
     for data in (
         b"P2\n2 2\n255\n0 1#2 3 4\n",  # "#" inside a token does not start a comment
+        b"P2\n2 2\n255\n0 1 2 3#\n",  # not even in the last sample
         b"P2\n2 2\n255\n0 1 2\n",  # truncated raster
         b"P2\n2 2\n255\n0 -1 2 3\n",
         b"P2\n2 2\n255\n0 1 2 " + str(10**25).encode() + b"\n",
@@ -469,6 +526,13 @@ def test_pgm_reader_fuzz(tmp_path_factory, graymap, cut, edits, threshold):
             raw[i] = value
     path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
     path.write_bytes(bytes(raw))
+    # the same pixels as the per-token reference, or the same error
+    outcome, reference = _outcome(read_pgm, path), _outcome(_read_with_reference, path)
+    if isinstance(reference, str):
+        assert outcome == reference
+    else:
+        assert not isinstance(outcome, str), outcome
+        assert outcome[:2] == reference[:2] and np.array_equal(outcome[2], reference[2])
     try:
         width, height, pixels = read_pgm(path)
     except PgmFormatError:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from illushape import (
     GridField,
@@ -100,22 +102,64 @@ def test_components_two_blocks_counted():
     assert sorted(comps.areas) == sorted(len(c) for c in oracle)
 
 
-def test_components_match_oracle_on_random_masks():
+def _serpentine(height, width):
+    """One path winding down the grid: full rows joined at alternating ends."""
+    inside = np.zeros((height, width), bool)
+    inside[::2] = True
+    inside[1::4, -1] = True
+    inside[3::4, 0] = True
+    return inside
+
+
+def _special_masks():
     rng = np.random.default_rng(5)
-    geom = GridGeometry(20, 16)
-    for p in (0.2, 0.4, 0.6):
-        inside = rng.random(geom.shape) < p
-        comps = connected_components(shape_of(geom, inside))
-        oracle = flood_oracle(inside)
-        assert comps.count == len(oracle)
-        assert sorted(comps.areas) == sorted(len(c) for c in oracle)
-        assert sum(comps.areas) == int(inside.sum())
-        # labels are contiguous and assigned in raster first-encounter order
-        firsts = []
-        for label in range(1, comps.count + 1):
-            cells = np.argwhere(comps.labels == label)
-            firsts.append(tuple(cells[np.lexsort((cells[:, 1], cells[:, 0]))][0]))
-        assert firsts == sorted(firsts)
+    rows, cols = np.indices((17, 23))
+    masks = [rng.random((16, 20)) < p for p in (0.2, 0.4, 0.6)]
+    masks += [
+        np.zeros((9, 7), bool),
+        np.ones((9, 7), bool),
+        (rows + cols) % 2 == 0,
+        (rows + cols) % 2 == 1,
+        _serpentine(17, 23),
+        _serpentine(23, 17).T,
+    ]
+    line = np.zeros((3, 40), bool)  # one row of cells at random, then one column
+    line[1] = rng.random(40) < 0.5
+    return masks + [line, line.T]
+
+
+@st.composite
+def _random_masks(draw):
+    height, width = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+def _with_special_masks(test):
+    for inside in _special_masks():
+        test = example(inside=inside)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(inside=_random_masks())
+@_with_special_masks
+def test_components_match_oracle_on_random_masks(inside):
+    comps = connected_components(shape_of(GridGeometry(inside.shape[1], inside.shape[0]), inside))
+    # the oracle finds components from their first cell in raster order, so
+    # its list is in the order the labels must follow
+    oracle = flood_oracle(inside)
+    expected = np.zeros(inside.shape, int)
+    for label, cells in enumerate(oracle, start=1):
+        expected[tuple(np.transpose(cells))] = label
+    assert comps.count == len(oracle)
+    assert np.array_equal(comps.labels, expected)
+    assert comps.areas == tuple(len(cells) for cells in oracle)
+    assert comps.centroids == tuple(
+        (sum(a for a, _ in cells) / len(cells), sum(b for _, b in cells) / len(cells))
+        for cells in oracle
+    )
 
 
 def test_components_diagonal_blocks_stay_separate():
