@@ -316,7 +316,6 @@ def run_command(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         final, report = run(
-            mask,
             cfg,
             initial=presmooth(null_hypothesis(mask), args.presmooth),
             step_sink=step_sink,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ModelParams, _surrogate_weight
-from .grid import GridField, require_same_geometry, zero_rim
+from .grid import GridField, _dot, face_means, require_same_geometry, zero_rim
 
 __all__ = [
     "LinearizedData",
@@ -94,15 +94,6 @@ def linearize(z_n: GridField, p: ModelParams) -> LinearizedData:
     return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of two flat arrays in numpy's own single-threaded loop.
-
-    BLAS stays off the solve path: a threaded BLAS dot splits the sum by its
-    thread count, so its rounding would depend on the machine.
-    """
-    return float(np.einsum("i,i->", a, b))
-
-
 class Operator:
     """Scaled face coefficients (eps/h)^2 G_face of one model and its 5-point kernel.
 
@@ -111,7 +102,8 @@ class Operator:
     N - 1 entries and the y-faces N - W.  The x-face entries at k = W - 1
     (mod W) wrap from the last cell of one row to the first of the next;
     both are rim cells, the coefficient there is zero, and the rim of every
-    argument is zero anyway.  Built once per model, on its first solve.
+    argument is zero anyway.  Built once per model, on its first use, from
+    the canyon's face means, of which only these scaled copies are kept.
 
     The reduced solve splits the grid like a checkerboard into red cells
     (i + j even) and black cells (i + j odd); the stencil couples every
@@ -134,7 +126,7 @@ class Operator:
         self.shape = geom.shape
         self.width = geom.width
         scale = (p.epsilon / geom.h) ** 2
-        gx, gy = p.faces
+        gx, gy = face_means(p.canyon.values)
         cx = np.zeros(geom.cells)
         np.multiply(gx, scale, out=cx.reshape(geom.shape)[:, :-1])
         self.cx = cx[:-1]

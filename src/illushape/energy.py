@@ -1,14 +1,17 @@
 """Energy functionals of the phase-transition model.
 
 The total energy charges canyon-weighted gradient and double-well terms plus
-a soft confinement that pins the phase to zero on the inducers.  The convex
-surrogate built around a frozen iterate majorizes the total energy; its
-minimizer is the next iterate of the outer scheme, and its first variation is
-the weak form of the linearized elliptic equation.  A run needs only the
-surrogate's cell weight, from which the linearization is assembled; the test
-suite evaluates the surrogate and its first variation from the same face form
-and weight.  Energy and operator share one face stencil and one quadrature so
-the discrete decrease bound holds exactly, not merely in the continuum limit.
+a soft confinement that pins the phase to zero on the inducers.  Its
+gradient term is (h^2 / 2 epsilon) z'Lz, with L the diffusion part of the
+model's elliptic operator, so energy and operator share one face stencil
+and one quadrature and the discrete decrease bound holds exactly, not
+merely in the continuum limit.  The convex surrogate built around a frozen
+iterate majorizes the total energy; its minimizer is the next iterate of
+the outer scheme, and its first variation is the weak form of the
+linearized elliptic equation.  A run needs only the surrogate's cell
+weight, from which the linearization is assembled; the test suite
+evaluates the surrogate and its first variation from the same operator and
+weight.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .canyon import CanyonField, ConfigurationMask
-from .grid import GridField, face_diffs, face_means, require_same_geometry, rim_any
+from .grid import GridField, _dot, require_same_geometry, rim_any
 
 __all__ = [
     "PhaseField",
@@ -66,16 +69,8 @@ class ModelParams:
         return self.canyon.geometry
 
     @cached_property
-    def faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only x- and y-face means of the canyon, built on first use."""
-        gx, gy = face_means(self.canyon.values)
-        gx.setflags(write=False)
-        gy.setflags(write=False)
-        return gx, gy
-
-    @cached_property
     def operator(self):
-        """The elliptic operator's face coefficients, built on the first solve."""
+        """The elliptic operator's face coefficients, built on first use."""
         from .elliptic import Operator  # elliptic builds on this module
 
         return Operator(self)
@@ -86,29 +81,27 @@ def double_well(z):
     return np.square(1.0 - z) * np.square(z)
 
 
-def _face_form(a: np.ndarray, b: np.ndarray, p: ModelParams) -> float:
-    """Face sum of G_face * da * db, the stencil shared with the elliptic operator.
-
-    Note (dz/h)^2 h^2 = dz^2, so face sums need no explicit h factors.
-    """
-    dax, day = face_diffs(a)
-    dbx, dby = (dax, day) if b is a else face_diffs(b)
-    gx, gy = p.faces
-    return float(np.sum(gx * dax * dbx)) + float(np.sum(gy * day * dby))
-
-
-def total_energy(z: PhaseField, p: ModelParams) -> float:
-    """Discrete total energy of a zero-trace phase field.
+def total_energy(z: GridField, p: ModelParams) -> float:
+    """Discrete total energy of a field that vanishes on the boundary ring.
 
     Face-gradient term (epsilon/2) G |grad z|^2, cell double-well term
     G Phi(z) / (2 epsilon), and confinement lam chi z^2 / (2 epsilon), all
-    under midpoint quadrature.
+    under midpoint quadrature.  The diffusion part L of ``p.operator`` has
+    face coefficients (epsilon/h)^2 G_face, so the gradient term, the face
+    sum (epsilon/2) G_face dz^2, is evaluated as (h^2 / 2 epsilon) z'Lz.
+    That kernel zeroes its output rim, so a field with a nonzero rim is
+    rejected.
     """
     require_same_geometry(z, p)
     zv = z.values
+    if rim_any(zv):
+        raise ValueError("the energy takes a field that vanishes on the boundary ring")
     h = p.geometry.h
-    grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
     cell_scale = h * h / (2.0 * p.epsilon)
+    flat = zv.ravel()
+    lz = np.empty(flat.size)
+    p.operator.apply(flat, None, lz, np.empty(flat.size - 1))
+    grad = cell_scale * _dot(flat, lz)
     well = cell_scale * float(np.sum(p.canyon.values * double_well(zv)))
     pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * zv))
     return grad + well + pin

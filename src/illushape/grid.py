@@ -16,7 +16,6 @@ __all__ = [
     "gradient_magnitude",
     "rms_diff",
     "face_means",
-    "face_diffs",
 ]
 
 
@@ -134,20 +133,22 @@ def rms_diff(a: GridField, b: GridField) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two flat arrays in numpy's own single-threaded loop.
+
+    BLAS stays off the solve path: a threaded BLAS dot splits the sum by its
+    thread count, so its rounding would depend on the machine.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def face_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic means on x-faces and y-faces between adjacent cells.
 
-    Face arrays have shape (H, W-1) and (H-1, W).  The discrete energy and
-    the elliptic operator are both built from these, so they stay consistent
-    by construction.
+    Face arrays have shape (H, W-1) and (H-1, W).  The elliptic operator's
+    coefficients are built from these, and the energy's gradient term is
+    that operator's quadratic form.
     """
     fx = 0.5 * (values[:, 1:] + values[:, :-1])
     fy = 0.5 * (values[1:, :] + values[:-1, :])
     return fx, fy
-
-
-def face_diffs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences on x-faces and y-faces between adjacent cells."""
-    dx = values[:, 1:] - values[:, :-1]
-    dy = values[1:, :] - values[:-1, :]
-    return dx, dy

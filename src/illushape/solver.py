@@ -231,7 +231,6 @@ def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
 
 
 def run(
-    mask: ConfigurationMask,
     cfg: SolverConfig,
     *,
     initial: PhaseField | None = None,
@@ -239,10 +238,10 @@ def run(
 ) -> tuple[PhaseField, IterationReport]:
     """Iterate until the RMS update drops below delta or the budget runs out.
 
-    The run starts from ``initial``, or from the null hypothesis when it is
-    None.  ``step_sink``, when given, is called as ``step_sink(record,
-    field)`` after every step, with the step's record (its energy and update
-    set) and the new read-only iterate.
+    The run starts from ``initial``, or from the null hypothesis of the
+    model's mask when it is None.  ``step_sink``, when given, is called as
+    ``step_sink(record, field)`` after every step, with the step's record
+    (its energy and update set) and the new read-only iterate.
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
 
@@ -252,7 +251,7 @@ def run(
     plus that span; ``step`` falls back to z_n when that solve leaves the
     range limit.
     """
-    z = initial if initial is not None else null_hypothesis(mask)
+    z = initial if initial is not None else null_hypothesis(cfg.model.mask)
     del initial  # so the first iterate is freed once the second replaces it
     require_same_geometry(z, cfg.model)
 

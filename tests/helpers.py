@@ -29,9 +29,8 @@ from illushape import (
     total_energy,
 )
 from illushape.cli import _TOKEN, PgmFormatError
-from illushape.elliptic import _dot
-from illushape.energy import _face_form, _surrogate_weight
-from illushape.grid import face_means, require_same_geometry, rms_diff, zero_rim
+from illushape.energy import _surrogate_weight
+from illushape.grid import _dot, face_means, require_same_geometry, rms_diff, zero_rim
 
 DENSE_ORACLE_LIMIT = 4096
 
@@ -106,16 +105,23 @@ def surrogate_target(z):
     return 3.0 * zz / (1.0 + 2.0 * zz)
 
 
+def diffusion_form(u: PhaseField, z: PhaseField, p: ModelParams) -> float:
+    """u'Lz with L the diffusion part of the model's operator kernel."""
+    lz = np.empty(p.geometry.cells)
+    p.operator.apply(z.values.ravel(), None, lz, np.empty(lz.size - 1))
+    return _dot(u.values.ravel(), lz)
+
+
 def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     """Strictly convex quadratic majorant of the total energy at iterate z_n,
-    from the package's face form and surrogate weight."""
+    from the package's operator kernel and surrogate weight."""
     require_same_geometry(z, p)
     zv = z.values
     h = p.geometry.h
     weight = _surrogate_weight(z_n, p)
     target = surrogate_target(z_n.values)
-    grad = 0.5 * p.epsilon * _face_form(zv, zv, p)
     cell_scale = h * h / (2.0 * p.epsilon)
+    grad = cell_scale * diffusion_form(z, z, p)
     cell = cell_scale * float(np.sum(weight * np.square(zv - target)))
     pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * zv))
     return grad + cell + pin
@@ -134,8 +140,8 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     h = p.geometry.h
     weight = _surrogate_weight(z_n, p)
     target = surrogate_target(z_n.values)
-    grad = p.epsilon * _face_form(zv, uv, p)
     cell_scale = h * h / p.epsilon
+    grad = cell_scale * diffusion_form(u, z, p)
     cell = cell_scale * float(np.sum(weight * (zv - target) * uv))
     pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * uv))
     return grad + cell + pin
@@ -328,14 +334,14 @@ def above_one(solution: GridField) -> GridField:
     return GridField(solution.geometry, values)
 
 
-def plain_run(mask: ConfigurationMask, cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
+def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     """``solver.run`` with every inner solve started at z_n, never at a projection.
 
     The reference for the projected start and for the step's retry from z_n:
     the same loop and bookkeeping, calling ``step`` without a subspace, so
     no step is retried.
     """
-    z = null_hypothesis(mask)
+    z = null_hypothesis(cfg.model.mask)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z_next, record = step(z, cfg)

@@ -49,7 +49,7 @@ def kanizsa():
     cfg = SolverConfig(model=default_model(mask))
     # process CPU time, so other jobs sharing the machine do not count against the run
     t0 = time.process_time()
-    field, report = run(mask, cfg)
+    field, report = run(cfg)
     elapsed = time.process_time() - t0
     return SimpleNamespace(mask=mask, cfg=cfg, field=field, report=report, elapsed=elapsed)
 
@@ -58,7 +58,7 @@ def kanizsa():
 def split_run():
     mask = ellipse_triangle()
     cfg = SolverConfig(model=default_model(mask))
-    field, report = run(mask, cfg)
+    field, report = run(cfg)
     return SimpleNamespace(mask=mask, field=field, report=report)
 
 
@@ -177,9 +177,7 @@ def test_criterion_08_topological_splitting(split_run):
 
 
 def test_criterion_09_zero_fixed_point(kanizsa):
-    field, report = run(
-        kanizsa.mask, kanizsa.cfg, initial=PhaseField.zeros(kanizsa.mask.geometry)
-    )
+    field, report = run(kanizsa.cfg, initial=PhaseField.zeros(kanizsa.mask.geometry))
     assert report.status == "converged"
     assert len(report.steps) == 1
     assert report.steps[0].energy == 0.0

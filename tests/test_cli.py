@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -557,3 +560,21 @@ def test_pgm_reader_fuzz(tmp_path_factory, graymap, cut, edits, threshold):
         return
     if expected is not None:
         assert np.array_equal(mask.inside, expected)
+
+
+def test_a_hypothesis_failure_reports_its_example(tmp_path):
+    # with warnings as errors, an import on hypothesis's failure path must not
+    # turn the report of a falsifying example into a pytest internal error
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = ["-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "test_fails.py"]
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

@@ -5,6 +5,7 @@ from illushape import (
     CanyonField,
     CgParams,
     ConfigurationMask,
+    GridField,
     GridGeometry,
     ModelParams,
     PhaseField,
@@ -141,15 +142,27 @@ def test_total_energy_single_cell_matches_loop_oracle():
 
 
 def test_total_energy_matches_loop_oracle_random():
+    # the kernel's row-wrap faces, odd widths, and tall and wide grids
     rng = np.random.default_rng(9)
-    geom = GridGeometry(9, 7)
-    for _ in range(5):
-        p = random_model(geom, rng)
-        z = random_phase(geom, rng)
-        expected = energy_loop(
-            z.values, p.canyon.values, p.mask.indicator(), geom.h, p.epsilon, p.lam
-        )
-        assert total_energy(z, p) == pytest.approx(expected, rel=1e-12)
+    for size in ((3, 3), (4, 3), (3, 6), (9, 7), (12, 5)):
+        geom = GridGeometry(*size)
+        for _ in range(5):
+            p = random_model(geom, rng)
+            z = random_phase(geom, rng)
+            expected = energy_loop(
+                z.values, p.canyon.values, p.mask.indicator(), geom.h, p.epsilon, p.lam
+            )
+            assert total_energy(z, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_total_energy_rejects_a_nonzero_rim():
+    # the operator kernel zeroes its output rim, so it would drop those faces
+    geom = GridGeometry(10, 8)
+    p = flat_model(geom)
+    v = np.zeros(geom.shape)
+    v[3, 0] = 0.5
+    with pytest.raises(ValueError, match="boundary ring"):
+        total_energy(GridField(geom, v), p)
 
 
 def test_energy_lower_bound_by_floor_weighted_gradient():
@@ -349,7 +362,7 @@ def test_geometry_mismatch_rejected():
         lambda: apply_operator(z_other, data, p),
         lambda: cg_solve(data, p, warm_start=z_other),
         lambda: cg_solve(data, p, subspace=wrong_ring),
-        lambda: run(p.mask, SolverConfig(model=p), initial=z_other),
+        lambda: run(SolverConfig(model=p), initial=z_other),
     ):
         with pytest.raises(ValueError, match="different grids"):
             call()

@@ -104,8 +104,8 @@ def test_step_minimizes_surrogate(small_setup):
 
 
 def test_run_converges_and_decreases_energy(small_setup):
-    mask, cfg = small_setup
-    z, report = run(mask, cfg)
+    _, cfg = small_setup
+    z, report = run(cfg)
     assert report.status == "converged"
     energies = report.energies()
     slack = 1e-9 * (1.0 + energies[0])
@@ -128,9 +128,9 @@ def _same_record(a, b) -> bool:
 
 
 def test_run_is_deterministic(small_setup):
-    mask, cfg = small_setup
-    _, first = run(mask, cfg)
-    _, second = run(mask, cfg)
+    _, cfg = small_setup
+    _, first = run(cfg)
+    _, second = run(cfg)
     assert first.status == second.status
     assert first.el_residual == second.el_residual
     assert len(first.steps) == len(second.steps)
@@ -142,7 +142,7 @@ import hashlib
 from illushape import SolverConfig, default_model, run
 from illushape.fixtures import kanizsa_triangle
 mask = kanizsa_triangle(128, 128)
-z, report = run(mask, SolverConfig(model=default_model(mask), max_outer=8))
+z, report = run(SolverConfig(model=default_model(mask), max_outer=8))
 assert len(report.steps) == 8 and report.steps[-1].start_rank > 0
 print(hashlib.sha256(z.values.tobytes()).hexdigest())
 """
@@ -182,8 +182,8 @@ def test_predicted_start_keeps_the_plain_trajectory(make_mask, rel_tol):
     loose = rel_tol > CgParams().rel_tol
     mask = make_mask()
     cfg = SolverConfig(model=default_model(mask), cg=CgParams(rel_tol=rel_tol))
-    z, report = run(mask, cfg)
-    z_plain, plain = plain_run(mask, cfg)
+    z, report = run(cfg)
+    z_plain, plain = plain_run(cfg)
     assert report.status == plain.status == "converged"
     assert abs(len(report.steps) - len(plain.steps)) <= (1 if loose else 0)
     energy, want = report.steps[-1].energy, plain.steps[-1].energy
@@ -244,7 +244,7 @@ def test_step_retries_a_projected_start_that_leaves_the_range(small_setup, monke
 
 def test_run_from_zero_field_stops_immediately(small_setup):
     mask, cfg = small_setup
-    z, report = run(mask, cfg, initial=PhaseField.zeros(mask.geometry))
+    z, report = run(cfg, initial=PhaseField.zeros(mask.geometry))
     assert report.status == "converged"
     assert len(report.steps) == 1
     assert report.steps[0].energy == 0.0
@@ -254,7 +254,7 @@ def test_run_from_zero_field_stops_immediately(small_setup):
 def test_run_respects_outer_budget(small_setup):
     mask, _ = small_setup
     cfg = SolverConfig(model=default_model(mask), max_outer=3)
-    _, report = run(mask, cfg)
+    _, report = run(cfg)
     assert report.status == "max_outer_reached"
     assert len(report.steps) == 3
 
@@ -271,14 +271,14 @@ def test_run_emits_read_only_snapshots(small_setup):
         with pytest.raises(ValueError):
             field.values[1, 1] = 2.0
 
-    _, report = run(mask, cfg, step_sink=sink)
+    _, report = run(cfg, step_sink=sink)
     assert seen == [s.index for s in report.steps] == list(range(1, 6))
 
 
 def test_run_energy_matches_recomputation(small_setup):
     # the recorded final energy equals total_energy of the returned field
-    mask, cfg = small_setup
-    z, report = run(mask, cfg)
+    _, cfg = small_setup
+    z, report = run(cfg)
     assert report.steps[-1].energy == total_energy(z, cfg.model)
 
 
