@@ -18,7 +18,6 @@ from .canyon import (
 from .elliptic import (
     CgConvergenceError,
     CgParams,
-    CgStats,
     LinearizedData,
     StartSubspace,
     apply_operator,
@@ -33,7 +32,7 @@ from .energy import (
     total_energy,
 )
 from .grid import GridField, GridGeometry, gradient_magnitude, rms_diff
-from .shape import ComponentSet, ShapeMask, connected_components, extract_shape, iou
+from .shape import ComponentSet, ShapeMask, connected_components, extract_shape
 from .solver import (
     IterationReport,
     RangePreservationError,
@@ -54,7 +53,6 @@ __all__ = [
     "CanyonParams",
     "CgConvergenceError",
     "CgParams",
-    "CgStats",
     "ComponentSet",
     "ConfigurationMask",
     "GridField",
@@ -80,7 +78,6 @@ __all__ = [
     "euler_lagrange_residual",
     "extract_shape",
     "gradient_magnitude",
-    "iou",
     "linearize",
     "mollify",
     "null_hypothesis",

@@ -115,12 +115,14 @@ def mollify(mask: ConfigurationMask, sigma: float) -> GridField:
 def edge_response(p, g_kind: str = "exp_square"):
     """Edge decay: 1 at zero edge strength, vanishing in the strong-edge limit.
 
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  A square that overflows to inf gives the
+    exact limit 0.
     """
-    if g_kind == "exp_square":
-        return np.exp(-np.square(p))
-    if g_kind == "rational":
-        return 1.0 / (1.0 + np.square(p))
+    with np.errstate(over="ignore"):
+        if g_kind == "exp_square":
+            return np.exp(-np.square(p))
+        if g_kind == "rational":
+            return 1.0 / (1.0 + np.square(p))
     raise ValueError(f"unknown edge response {g_kind!r}")
 
 

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .shape import connected_components, extract_shape
 from .solver import (
     RangePreservationError,
     SolverConfig,
+    StepRecord,
     default_model,
     null_hypothesis,
     presmooth,
@@ -240,21 +242,12 @@ _G_KINDS = {"exp": "exp_square", "rational": "rational"}
 
 
 def _write_energy_csv(path, report) -> None:
-    def fmt(x: float) -> str:
-        return f"{x:.17g}"
-
-    lines = [
-        "iter,energy,rho,rms_update,cg_iters,cg_residual,"
-        "drop_bound,pre_clamp_min,pre_clamp_max,start_rank,full_applications,reduced_applications,"
-        "retried"
-    ]
+    """One row per step, one column per ``StepRecord`` field, floats to 17 digits."""
+    names = [f.name for f in fields(StepRecord)]
+    lines = [",".join(names)]
     for s in report.steps:
-        lines.append(
-            f"{s.index},{fmt(s.energy)},{fmt(s.rho)},{fmt(s.rms_update)},"
-            f"{s.cg_iters},{fmt(s.cg_residual)},{fmt(s.drop_bound)},"
-            f"{fmt(s.pre_clamp_min)},{fmt(s.pre_clamp_max)},{s.start_rank},"
-            f"{s.full_applications},{s.reduced_applications},{s.retried}"
-        )
+        values = (getattr(s, name) for name in names)
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -300,26 +293,28 @@ def run_command(argv=None) -> int:
         """Write the progress line and the snapshot that fall on this step."""
         nonlocal cg_iters
         cg_iters += record.cg_iters
-        if args.progress and record.index % args.progress == 0:
+        if args.progress and record.iter % args.progress == 0:
             line = {
-                "step": record.index,
+                "step": record.iter,
                 "energy": record.energy,
                 "rms_update": record.rms_update,
                 "cg_iters": cg_iters,
                 "elapsed_s": time.perf_counter() - t0,
             }
             print(json.dumps(line), file=sys.stderr, flush=True)
-        if args.snapshot_every and record.index % args.snapshot_every == 0:
-            save_field_image(field, out_dir / f"snap_{record.index:06d}.pgm")
+        if args.snapshot_every and record.iter % args.snapshot_every == 0:
+            save_field_image(field, out_dir / f"snap_{record.iter:06d}.pgm")
 
     t0 = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        final, report = run(
-            cfg,
-            initial=presmooth(null_hypothesis(mask), args.presmooth),
-            step_sink=step_sink,
-        )
+        # an overflow would otherwise end in a non-finite field or an "Infinity" in the summary
+        with np.errstate(over="raise", invalid="raise"):
+            final, report = run(
+                cfg,
+                initial=presmooth(null_hypothesis(mask), args.presmooth),
+                step_sink=step_sink,
+            )
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)
         components = connected_components(shape)
@@ -378,7 +373,7 @@ def run_command(argv=None) -> int:
         with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except (CgConvergenceError, RangePreservationError) as exc:
+    except (CgConvergenceError, RangePreservationError, FloatingPointError) as exc:
         print(f"illushape: solver failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -21,7 +21,7 @@ from .grid import GridField, _dot, face_means, require_same_geometry, zero_rim
 __all__ = [
     "LinearizedData",
     "CgParams",
-    "CgStats",
+    "StepRecord",
     "CgConvergenceError",
     "linearize",
     "apply_operator",
@@ -58,19 +58,37 @@ class CgParams:
             raise ValueError("max_iters must be positive")
 
 
-@dataclass(frozen=True)
-class CgStats:
-    """Outcome of one solve; ``start_rank`` is the number of subspace
-    directions the projected start kept, 0 when none ran or it was rejected.
-    ``full_applications`` counts applications of the full operator A (and of
-    its diffusion part L), ``reduced_applications`` those of the reduced
-    operator S."""
+@dataclass
+class StepRecord:
+    """One outer iteration, one ``energy.csv`` row: the fields are its columns.
 
-    iterations: int
-    residual: float
+    ``cg_solve`` sets the inner solve's outcome: ``cg_iters``, the
+    iterations on the reduced system, ``cg_residual``, ``start_rank``, the
+    number of subspace directions the projected start kept (0 when none ran
+    or it was rejected), and ``full_applications`` and
+    ``reduced_applications``, its applications of the full operator A (and
+    of its diffusion part L) and of the reduced operator S.  ``solver.step``
+    sets the pre-clamp range and ``retried``, 1 when the step solved again
+    from z_n because the projected start's solve left the range limit; the
+    three work counts then add up both solves, every other field describes
+    the solve that was kept.  ``solver.run`` sets the rest.  ``rho`` and
+    ``drop_bound`` compare this iterate with its successor, so they stay NaN
+    on the final record.
+    """
+
+    iter: int = 0
+    energy: float = math.nan
+    rho: float = math.nan
+    rms_update: float = math.nan
+    cg_iters: int = 0
+    cg_residual: float = 0.0
+    drop_bound: float = math.nan
+    pre_clamp_min: float = math.nan
+    pre_clamp_max: float = math.nan
     start_rank: int = 0
     full_applications: int = 0
     reduced_applications: int = 0
+    retried: int = 0
 
 
 class CgConvergenceError(RuntimeError):
@@ -345,7 +363,7 @@ def cg_solve(
     cg: CgParams = CgParams(),
     warm_start: GridField | None = None,
     subspace: StartSubspace | None = None,
-) -> tuple[GridField, CgStats]:
+) -> tuple[GridField, StepRecord]:
     """Solve A z = f_n by Jacobi-preconditioned CG on the red-black reduced system.
 
     Stops when the relative residual drops to ``rel_tol``; a zero right-hand
@@ -366,9 +384,9 @@ def cg_solve(
     half-length vectors.  The loop works in place on compact flat buffers,
     the preconditioned residual doubling as the products' scratch, and every
     reduction is ``_dot``, so repeated solves are bit-identical whatever the
-    BLAS thread count.  ``CgStats`` counts the full-space operator
-    applications and the reduced ones, the elimination and the
-    back-substitution together counting as one.
+    BLAS thread count.  The returned record has the solve's fields set
+    (see ``StepRecord``); its reduced applications count the elimination and
+    the back-substitution together as one.
     """
     geom = data.f_n.geometry
     n = geom.cells
@@ -377,7 +395,7 @@ def cg_solve(
     r = zero_rim(data.f_n.values.copy()).ravel()
     f_norm = math.sqrt(_dot(r, r))
     if f_norm == 0.0:
-        return GridField.zeros(geom), CgStats(0, 0.0)
+        return GridField.zeros(geom), StepRecord()
     if warm_start is not None:
         require_same_geometry(warm_start, data.f_n)
     if subspace is not None and subspace.count and subspace.rows.shape[1] != n:
@@ -421,7 +439,8 @@ def cg_solve(
     del z, face
     if r_norm <= tol:
         del r, ad
-        return GridField(geom, x.reshape(geom.shape)), CgStats(0, r_norm / f_norm, rank, full)
+        record = StepRecord(cg_residual=r_norm / f_norm, start_rank=rank, full_applications=full)
+        return GridField(geom, x.reshape(geom.shape)), record
 
     # each full array is freed once split, so the compact ones take its place
     op.diagonal(g, out=ad)
@@ -484,4 +503,7 @@ def cg_solve(
     solution = GridField(geom, zero_rim(out))
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
-    return solution, CgStats(k, r_norm / f_norm, rank, full, k + 1)
+    return solution, StepRecord(
+        cg_iters=k, cg_residual=r_norm / f_norm, start_rank=rank,
+        full_applications=full, reduced_applications=k + 1,
+    )

@@ -104,7 +104,7 @@ def ideal_triangle_shape(
     geom = GridGeometry(width, height)
     X, Y = _cell_centers(geom)
     v = kanizsa_vertices(geom, circumradius)
-    return ShapeMask(geom, _triangle(X, Y, *v), 0.5)
+    return ShapeMask(geom, _triangle(X, Y, *v))
 
 
 def ellipse_triangle(width: int = 192, height: int = 128) -> ConfigurationMask:

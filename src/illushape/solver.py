@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
-from .elliptic import CgParams, StartSubspace, apply_operator, cg_solve, linearize
+from .elliptic import CgParams, StartSubspace, StepRecord, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
 from .grid import heat_step, require_same_geometry, rms_diff, zero_rim
 
@@ -57,35 +57,6 @@ class SolverConfig:
             raise ValueError("delta must be positive and finite")
         if self.max_outer <= 0:
             raise ValueError("max_outer must be positive")
-
-
-@dataclass
-class StepRecord:
-    """One outer iteration.  ``step`` sets the inner-solver outcome and the
-    pre-clamp range, ``run`` the rest.  ``rho`` and ``drop_bound`` compare
-    this iterate with its successor, so they stay NaN on the final record.
-    ``start_rank`` is the number of directions the inner solve's projected
-    start kept, 0 when no start ran.  ``retried`` is 1 when the step solved
-    again from z_n because the projected start's solve left the range
-    limit, else 0.  ``cg_iters`` counts the inner solves' iterations on the
-    reduced system; ``full_applications`` and ``reduced_applications`` their
-    applications of the full and the reduced operator.  These three work
-    counts add up both solves of a retried step; every other field
-    describes the solve that was kept."""
-
-    cg_iters: int
-    cg_residual: float
-    pre_clamp_min: float
-    pre_clamp_max: float
-    start_rank: int = 0
-    full_applications: int = 0
-    reduced_applications: int = 0
-    retried: int = 0
-    index: int = 0
-    energy: float = math.nan
-    rho: float = math.nan
-    rms_update: float = math.nan
-    drop_bound: float = math.nan
 
 
 @dataclass
@@ -196,29 +167,24 @@ def step(
     the step raises only if that solve leaves the limit too.
     """
     data = linearize(z_n, cfg.model)
-    solution, stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, subspace=subspace)
+    solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, subspace=subspace)
     pre_min, pre_max = float(solution.values.min()), float(solution.values.max())
     checked = 0.0 <= float(z_n.values.min()) and float(z_n.values.max()) <= 1.0
     limit = 10.0 * cfg.cg.rel_tol
-    spent = None
-    if checked and stats.start_rank > 0 and max(-pre_min, pre_max - 1.0) > limit:
-        spent = stats
-        solution, stats = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n)
+    if checked and record.start_rank > 0 and max(-pre_min, pre_max - 1.0) > limit:
+        spent = record
+        solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n)
         pre_min, pre_max = float(solution.values.min()), float(solution.values.max())
+        record.retried = 1
+        record.cg_iters += spent.cg_iters
+        record.full_applications += spent.full_applications
+        record.reduced_applications += spent.reduced_applications
     excursion = max(-pre_min, pre_max - 1.0, 0.0)
     if checked and excursion > limit:
         raise RangePreservationError(
             f"pre-clamp excursion {excursion:.3e} exceeds 10 * rel_tol = {limit:.3e}"
         )
-    record = StepRecord(
-        stats.iterations, stats.residual, pre_min, pre_max, stats.start_rank,
-        stats.full_applications, stats.reduced_applications,
-    )
-    if spent is not None:
-        record.retried = 1
-        record.cg_iters += spent.iterations
-        record.full_applications += spent.full_applications
-        record.reduced_applications += spent.reduced_applications
+    record.pre_clamp_min, record.pre_clamp_max = pre_min, pre_max
     return PhaseField(z_n.geometry, np.clip(solution.values, 0.0, 1.0)), record
 
 
@@ -259,7 +225,7 @@ def run(
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z_next, record = step(z, cfg, ring)
-        record.index = n
+        record.iter = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)
         if report.steps:

@@ -11,7 +11,6 @@ from illushape import (
     CanyonField,
     CgConvergenceError,
     CgParams,
-    CgStats,
     ConfigurationMask,
     GridField,
     GridGeometry,
@@ -19,7 +18,9 @@ from illushape import (
     LinearizedData,
     ModelParams,
     PhaseField,
+    ShapeMask,
     SolverConfig,
+    StepRecord,
     double_well,
     energy_drop_bound,
     euler_lagrange_residual,
@@ -237,7 +238,7 @@ def textbook_reduced_pcg(
     p: ModelParams,
     cg: CgParams = CgParams(),
     warm_start: GridField | None = None,
-) -> tuple[GridField, CgStats]:
+) -> tuple[GridField, StepRecord]:
     """Jacobi PCG on the red-black reduced system as written in the textbooks,
     allocating on 2-D arrays.
 
@@ -282,14 +283,14 @@ def textbook_reduced_pcg(
     f = zero_rim(data.f_n.values.copy())
     f_norm = math.sqrt(_dot(f.ravel(), f.ravel()))
     if f_norm == 0.0:
-        return GridField.zeros(geom), CgStats(0, 0.0)
+        return GridField.zeros(geom), StepRecord()
     x = np.zeros(geom.shape) if warm_start is None else zero_rim(warm_start.values.copy())
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     tol = cg.rel_tol * f_norm
     r = f - flux_apply(x, cx, cy, g)
     r_norm = math.sqrt(_dot(r.ravel(), r.ravel()))
     if r_norm <= tol:
-        return GridField(geom, x), CgStats(0, r_norm / f_norm, 0, 1, 0)
+        return GridField(geom, x), StepRecord(cg_residual=r_norm / f_norm, full_applications=1)
 
     diag = flux_diagonal(cx, cy, g)
     dinv_red = np.where(inner & ~black, 1.0 / diag, 0.0)
@@ -324,7 +325,19 @@ def textbook_reduced_pcg(
     solution = GridField(geom, zero_rim(np.where(black, x, x_red)))
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
-    return solution, CgStats(k, r_norm / f_norm, 0, 1, k + 1)
+    return solution, StepRecord(
+        cg_iters=k, cg_residual=r_norm / f_norm, full_applications=1, reduced_applications=k + 1
+    )
+
+
+def iou(a: ShapeMask, b: ShapeMask) -> float:
+    """Intersection over union; two empty masks count as identical."""
+    require_same_geometry(a, b)
+    union = int(np.logical_or(a.inside, b.inside).sum())
+    if union == 0:
+        return 1.0
+    inter = int(np.logical_and(a.inside, b.inside).sum())
+    return inter / union
 
 
 def above_one(solution: GridField) -> GridField:
@@ -345,7 +358,7 @@ def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z_next, record = step(z, cfg)
-        record.index = n
+        record.iter = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)
         if report.steps:

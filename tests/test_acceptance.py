@@ -19,7 +19,6 @@ from illushape import (
     connected_components,
     default_model,
     extract_shape,
-    iou,
     null_hypothesis,
     run,
     step,
@@ -36,6 +35,7 @@ from illushape.fixtures import (
 from helpers import (
     dense_solve_oracle,
     first_variation,
+    iou,
     profile_measure_1d,
     random_instance,
     random_phase,

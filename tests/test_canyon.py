@@ -72,6 +72,8 @@ def test_edge_response_limits():
     assert edge_response(0.0, "rational") == 1.0
     assert edge_response(1e6, "rational") < 1e-6
     assert edge_response(1e6, "exp_square") == 0.0  # underflows
+    for kind in ("exp_square", "rational"):
+        assert edge_response(1e200, kind) == 0.0  # the square overflows to inf, silently
 
 
 def test_edge_response_exp_at_one():

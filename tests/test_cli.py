@@ -22,7 +22,7 @@ from illushape.cli import (
     save_field_image,
     write_pgm,
 )
-from illushape.fixtures import kanizsa_triangle, mask_to_pixels
+from illushape.fixtures import illusory_disk, kanizsa_triangle, mask_to_pixels
 
 from helpers import above_one, reference_p2_raster
 
@@ -413,6 +413,25 @@ def test_run_command_reports_a_range_failure(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("illushape: solver failure: pre-clamp excursion")
     assert "Traceback" not in captured.err
 
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--beta", "1e308"], ["--alpha", "1e308"], ["--alpha", "1e200", "--beta", "1e200"]],
+    ids=["beta-1e308", "alpha-1e308", "alpha-beta-1e200"],
+)
+def test_run_command_reports_an_overflow(tmp_path, capsys, flags):
+    # a canyon this deep overflows the solve: exit 1 with a message, no traceback
+    # and no summary, whose "Infinity" would not be JSON
+    path = tmp_path / "disk.pgm"
+    write_pgm(path, mask_to_pixels(illusory_disk(32, 32)))
+    out = tmp_path / "run"
+    assert run_command(["--input", str(path), "--out-dir", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("illushape: solver failure: ")
+    assert not (out / "summary.json").exists()
 
 def test_run_command_budget_exit_code(tmp_path):
     path = tmp_path / "kanizsa.pgm"

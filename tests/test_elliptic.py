@@ -248,8 +248,8 @@ def test_cg_zero_rhs_short_circuits():
     zero_data = LinearizedData(data.g_n, GridField.zeros(geom))
     solution, stats = cg_solve(zero_data, p)
     assert np.all(solution.values == 0.0)
-    assert stats.iterations == 0
-    assert stats.residual == 0.0
+    assert stats.cg_iters == 0
+    assert stats.cg_residual == 0.0
 
 
 def test_cg_matches_dense_oracle():
@@ -276,7 +276,7 @@ def test_reduced_cg_on_small_and_odd_grids():
                 assert np.abs(solution.values - reference.values).max() <= 1e-8
                 r = f - apply_operator(solution, data, p).values
                 assert np.linalg.norm(r) <= CgParams().rel_tol * np.linalg.norm(f)
-                assert stats.residual <= CgParams().rel_tol
+                assert stats.cg_residual <= CgParams().rel_tol
 
 
 def test_cg_warm_start_at_solution_takes_no_iterations():
@@ -285,14 +285,14 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     data, p = random_instance(geom, rng)
     exact = dense_solve_oracle(data, p)
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=exact)
-    assert stats.iterations == 0
+    assert stats.cg_iters == 0
     assert np.array_equal(solution.values, exact.values)
     # so does a start elsewhere from a subspace that contains the solution
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     other = zero_rim_field(geom, rng).values
     space = subspace_of([other, exact.values - warm.values, other + exact.values - warm.values])
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=warm, subspace=space)
-    assert stats.iterations == 0
+    assert stats.cg_iters == 0
     assert stats.start_rank == 2
     assert np.abs(solution.values - exact.values).max() <= 1e-9
 
@@ -460,7 +460,7 @@ def test_cg_residual_contract_on_random_instances():
             ).ravel()
         )
         assert rel <= cg.rel_tol
-        assert stats.residual <= cg.rel_tol
+        assert stats.cg_residual <= cg.rel_tol
 
 
 def test_cg_budget_exhaustion_raises_with_best_iterate():
