@@ -95,10 +95,12 @@ def mollify(mask: ConfigurationMask, sigma: float) -> GridField:
 
     Explicit stepping with zero-flux walls; the step size stays at or below
     h^2/4 so every update is a convex combination and the output remains in
-    [0, 1].  ``sigma = 0`` returns the indicator unchanged.
+    [0, 1].  ``sigma = 0`` returns the indicator unchanged.  ``sigma`` is at
+    most 1, the domain's longest side, which bounds the diffusion time by
+    1/2 and the step count by 2 max(W, H)^2.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0, 1], a diffusion time of at most 1/2 (got {sigma})")
     geom = mask.geometry
     u = mask.indicator()
     total = 0.5 * sigma * sigma

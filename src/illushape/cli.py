@@ -215,6 +215,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_G_KINDS = {"exp": "exp_square", "rational": "rational"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="illushape", description="Compute illusory shapes from a binary inducer image.")
     parser.add_argument("--input", required=True, help="inducer image (8-bit PGM, P2 or P5)")
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epsilon-factor", type=float, default=3.0, help="transition bandwidth in grid spacings")
     parser.add_argument("--sigma-factor", type=float, default=2.0, help="mollification scale in grid spacings")
     parser.add_argument("--gain", type=float, default=3.0, help="edge-strength gain")
-    parser.add_argument("--g", choices=("exp", "rational"), default="exp", help="edge decay function")
+    parser.add_argument("--g", choices=tuple(_G_KINDS), default="exp", help="edge decay function")
     parser.add_argument("--delta", type=float, default=1e-6, help="outer RMS tolerance")
     parser.add_argument("--max-outer", type=int, default=5000, help="outer iteration budget")
     parser.add_argument("--cg-tol", type=float, default=1e-10, help="inner relative residual tolerance")
@@ -236,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--invert", action="store_true", help="treat light pixels as inducers")
     parser.add_argument("--bin-threshold", type=int, default=128, help="binarization luminance threshold on the 0-255 scale")
     return parser
-
-
-_G_KINDS = {"exp": "exp_square", "rational": "rational"}
 
 
 def _write_energy_csv(path, report) -> None:
@@ -279,9 +279,11 @@ def run_command(argv=None) -> int:
         )
         if not (0.0 < args.threshold < 1.0):
             raise ValueError("threshold must lie strictly between 0 and 1")
-        for flag in ("presmooth", "snapshot_every", "progress"):
+        for flag in ("snapshot_every", "progress"):
             if getattr(args, flag) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
+        # a list, so that run() holds the only reference and frees the first iterate after a step
+        initial = [presmooth(null_hypothesis(mask), args.presmooth)]
     except (OSError, ValueError) as exc:
         print(f"illushape: {exc}", file=sys.stderr)
         return 1
@@ -310,44 +312,27 @@ def run_command(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         # an overflow would otherwise end in a non-finite field or an "Infinity" in the summary
         with np.errstate(over="raise", invalid="raise"):
-            final, report = run(
-                cfg,
-                initial=presmooth(null_hypothesis(mask), args.presmooth),
-                step_sink=step_sink,
-            )
+            final, report = run(cfg, initial=initial.pop(), step_sink=step_sink)
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)
         components = connected_components(shape)
         save_field_image(final, out_dir / "final_phase.pgm")
         write_pgm(out_dir / "shape.pgm", shape.inside.astype(np.uint8) * 255)
         _write_energy_csv(out_dir / "energy.csv", report)
-        geometry = mask.geometry
+        # every flag but the two paths and --progress, which changes no output, then
+        # the values the model and grid derive from them
+        parameters = {k: v for k, v in vars(args).items() if k not in ("input", "out_dir", "progress")}
+        parameters["lambda"] = parameters.pop("lam")
+        parameters["g_kind"] = _G_KINDS[parameters.pop("g")]
+        geom = mask.geometry
+        parameters.update(
+            epsilon=model.epsilon, sigma=args.sigma_factor * geom.h, width=geom.width, height=geom.height, h=geom.h
+        )
         last = report.steps[-1]
         audit = report.audit()
         summary = {
             "input": str(args.input),
-            "parameters": {
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "lambda": args.lam,
-                "epsilon": model.epsilon,
-                "epsilon_factor": args.epsilon_factor,
-                "sigma": args.sigma_factor * geometry.h,
-                "sigma_factor": args.sigma_factor,
-                "gain": args.gain,
-                "g_kind": _G_KINDS[args.g],
-                "delta": args.delta,
-                "max_outer": args.max_outer,
-                "cg_tol": args.cg_tol,
-                "threshold": args.threshold,
-                "presmooth": args.presmooth,
-                "snapshot_every": args.snapshot_every,
-                "invert": args.invert,
-                "bin_threshold": args.bin_threshold,
-                "width": geometry.width,
-                "height": geometry.height,
-                "h": geometry.h,
-            },
+            "parameters": parameters,
             "status": report.status,
             "iterations": len(report.steps),
             "final_energy": last.energy,

@@ -92,13 +92,13 @@ class StepRecord:
 
 
 class CgConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best iterate and its residual."""
+    """Iteration budget exhausted, or a breakdown: a curvature or a
+    preconditioned residual norm outside (0, inf).  Carries the best iterate
+    and its residual."""
 
-    def __init__(self, best: GridField, residual: float, iterations: int):
-        super().__init__(
-            f"conjugate gradient did not converge in {iterations} iterations "
-            f"(relative residual {residual:.3e})"
-        )
+    def __init__(self, best: GridField, residual: float, iterations: int, breakdown: bool = False):
+        what = f"broke down at iteration {iterations}" if breakdown else f"did not converge in {iterations} iterations"
+        super().__init__(f"conjugate gradient {what} (relative residual {residual:.3e})")
         self.best = best
         self.residual = residual
         self.iterations = iterations
@@ -465,6 +465,7 @@ def cg_solve(
 
     r_norm = math.sqrt(_dot(rb, rb))
     k = 0
+    breakdown = False
     if r_norm > tol:
         np.multiply(minv, rb, out=zb)
         db = zb.copy()
@@ -477,7 +478,11 @@ def cg_solve(
             op.to_black(u, q, zb)
             np.multiply(db_diag, db, out=zb)
             np.subtract(zb, q, out=q)
-            alpha = rz / _dot(db, q)
+            curvature = _dot(db, q)
+            if not 0.0 < curvature < math.inf:
+                breakdown = True
+                break
+            alpha = rz / curvature
             np.multiply(db, alpha, out=zb)
             xb += zb
             np.multiply(q, alpha, out=zb)
@@ -487,6 +492,9 @@ def cg_solve(
                 break
             np.multiply(minv, rb, out=zb)
             rz_next = _dot(rb, zb)
+            if not 0.0 < rz_next < math.inf:
+                breakdown = True
+                break
             db *= rz_next / rz
             db += zb
             rz = rz_next
@@ -501,8 +509,8 @@ def cg_solve(
     op.join(u, RED, out)
     del xb, u, zb, drinv
     solution = GridField(geom, zero_rim(out))
-    if r_norm > tol:
-        raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
+    if breakdown or r_norm > tol:
+        raise CgConvergenceError(solution, r_norm / f_norm, k, breakdown)
     return solution, StepRecord(
         cg_iters=k, cg_residual=r_norm / f_norm, start_rank=rank,
         full_applications=full, reduced_applications=k + 1,

@@ -138,9 +138,14 @@ def null_hypothesis(mask: ConfigurationMask) -> PhaseField:
 
 
 def presmooth(z0: PhaseField, steps: int) -> PhaseField:
-    """Explicit heat steps (size h^2/4) with the rim pinned at zero."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    """Explicit heat steps (size h^2/4) with the rim pinned at zero.
+
+    At most 2 max(W, H)^2 steps, a diffusion time of at most 1/2 on a domain
+    whose longest side is 1, the bound ``canyon.mollify`` keeps too.
+    """
+    limit = 2 * max(z0.geometry.width, z0.geometry.height) ** 2
+    if not 0 <= steps <= limit:
+        raise ValueError(f"presmooth steps must lie in [0, {limit}], a diffusion time of at most 1/2 (got {steps})")
     if steps == 0:
         return z0
     u = z0.values.copy()

@@ -67,6 +67,15 @@ def test_mollify_rejects_negative_sigma():
         mollify(block_mask(geom, slice(2, 4), slice(2, 4)), -1.0)
 
 
+def test_mollify_bounds_the_diffusion_time():
+    # sigma = 1, the longest side, is a diffusion time of 1/2: 2 * 16^2 heat steps
+    mask = block_mask(GridGeometry(16, 16), slice(4, 8), slice(5, 11))
+    out = mollify(mask, 1.0)
+    assert 0.0 <= out.values.min() <= out.values.max() <= 1.0
+    with pytest.raises(ValueError, match="sigma"):
+        mollify(mask, math.nextafter(1.0, 2.0))
+
+
 def test_edge_response_limits():
     assert edge_response(0.0, "exp_square") == 1.0
     assert edge_response(0.0, "rational") == 1.0

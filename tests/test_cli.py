@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -228,6 +229,10 @@ def test_run_command_rejects_bad_flags(tmp_path):
     assert run_command(base + ["--threshold", "1.5"]) == 1
     assert run_command(base + ["--epsilon-factor", "0.1"]) == 1
     assert run_command(base + ["--presmooth", "-1"]) == 1
+    # a diffusion time past 1/2: sigma above 1, or more than 2 * 48^2 heat steps
+    assert run_command(base + ["--sigma-factor", "1e200"]) == 1
+    assert run_command(base + ["--sigma-factor", "100"]) == 1
+    assert run_command(base + ["--presmooth", "4609"]) == 1
     assert run_command(base + ["--snapshot-every", "-1"]) == 1
     assert run_command(base + ["--unknown-flag"]) == 1
     assert not out.exists()
@@ -417,11 +422,19 @@ def test_run_command_reports_a_range_failure(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--beta", "1e308"], ["--alpha", "1e308"], ["--alpha", "1e200", "--beta", "1e200"]],
-    ids=["beta-1e308", "alpha-1e308", "alpha-beta-1e200"],
+    [
+        ["--beta", "1e308"],
+        ["--alpha", "1e308"],
+        ["--alpha", "1e200", "--beta", "1e200"],
+        ["--lambda", "1e308"],
+        ["--cg-tol", "1e-300"],
+        ["--cg-tol", "5e-324"],
+    ],
+    ids=["beta-1e308", "alpha-1e308", "alpha-beta-1e200", "lambda-1e308", "cg-tol-1e-300", "cg-tol-5e-324"],
 )
 def test_run_command_reports_an_overflow(tmp_path, capsys, flags):
-    # a canyon this deep overflows the solve: exit 1 with a message, no traceback
+    # a canyon this deep overflows the solve, and a confinement this strong or a
+    # tolerance this tight breaks CG down: exit 1 with a message, no traceback
     # and no summary, whose "Infinity" would not be JSON
     path = tmp_path / "disk.pgm"
     write_pgm(path, mask_to_pixels(illusory_disk(32, 32)))
@@ -432,6 +445,73 @@ def test_run_command_reports_an_overflow(tmp_path, capsys, flags):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("illushape: solver failure: ")
     assert not (out / "summary.json").exists()
+
+
+def test_summary_parameters_echo_every_flag(tmp_path):
+    # light inducers on a dark ground, which --invert reads
+    path = tmp_path / "disk.pgm"
+    write_pgm(path, 255 - mask_to_pixels(illusory_disk(32, 32)))
+    out = tmp_path / "run"
+    values = {
+        "--alpha": "0.2", "--beta": "2.0", "--lambda": "2.0", "--epsilon-factor": "2.5",
+        "--sigma-factor": "1.5", "--gain": "2.0", "--g": "rational", "--delta": "1e-05",
+        "--max-outer": "4", "--cg-tol": "1e-08", "--threshold": "0.4", "--presmooth": "2",
+        "--snapshot-every": "3", "--progress": "2", "--bin-threshold": "100",
+    }
+    declared = {a.option_strings[0] for a in cli.build_parser()._actions}
+    assert declared == {"-h", "--input", "--out-dir", "--invert", *values}
+    argv = ["--input", str(path), "--out-dir", str(out), "--invert", *(x for kv in values.items() for x in kv)]
+    assert run_command(argv) == 2
+    h = 1.0 / 32
+    assert json.loads((out / "summary.json").read_text())["parameters"] == {
+        "alpha": 0.2, "beta": 2.0, "lambda": 2.0, "epsilon": 2.5 * h, "epsilon_factor": 2.5,
+        "sigma": 1.5 * h, "sigma_factor": 1.5, "gain": 2.0, "g_kind": "rational", "delta": 1e-5,
+        "max_outer": 4, "cg_tol": 1e-8, "threshold": 0.4, "presmooth": 2, "snapshot_every": 3,
+        "invert": True, "bin_threshold": 100, "width": 32, "height": 32, "h": h,
+    }
+
+
+def _fuzz_values(action):
+    """Values for one flag: extreme floats and its default, small ints reaching
+    past the 16^2 presmooth bound of 512, each choice, or a switch on or off."""
+    if action.type is float:
+        extremes = (5e-324, 1e-300, -1.0, 0.0, 1e300, 1e308, math.inf, -math.inf, math.nan)
+        return st.sampled_from((action.default, *extremes))
+    if action.type is int:
+        return st.integers(-1, 3) | st.sampled_from((512, 513))
+    if action.choices:
+        return st.sampled_from(action.choices)
+    return st.booleans()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+_FUZZED_FLAGS = {
+    a.option_strings[0]: _fuzz_values(a)
+    for a in cli.build_parser()._actions
+    if a.dest not in ("help", "input", "out_dir")
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_FUZZED_FLAGS))
+def test_run_command_survives_fuzzed_flags(values):
+    # every declared flag: a documented exit status, no exception, strict JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "disk.pgm", Path(tmp) / "run"
+        write_pgm(path, mask_to_pixels(illusory_disk(16, 16)))
+        argv = ["--input", str(path), "--out-dir", str(out), "--max-outer", "3"]
+        for option, value in values.items():
+            if value is True:
+                argv.append(option)
+            elif value is not False:  # "=" keeps "-inf" from reading as an option
+                argv.append(f"{option}={value}")
+        assert run_command(argv) in (0, 1, 2, 3)
+        if (out / "summary.json").exists():
+            json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+
 
 def test_run_command_budget_exit_code(tmp_path):
     path = tmp_path / "kanizsa.pgm"

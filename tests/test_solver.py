@@ -288,6 +288,17 @@ def test_run_energy_matches_recomputation(small_setup):
     assert report.steps[-1].energy == total_energy(z, cfg.model)
 
 
+def test_presmooth_bounds_the_diffusion_time():
+    # 2 * 16^2 steps of size h^2/4 are a diffusion time of 1/2
+    from illushape import GridGeometry
+
+    z = random_phase(GridGeometry(16, 16), np.random.default_rng(4))
+    out = presmooth(z, 2 * 16**2)
+    assert 0.0 <= out.values.min() <= out.values.max() <= 1.0
+    with pytest.raises(ValueError, match="presmooth steps"):
+        presmooth(z, 2 * 16**2 + 1)
+
+
 def test_config_validation(small_setup):
     mask, _ = small_setup
     model = default_model(mask)
