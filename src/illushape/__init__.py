@@ -20,6 +20,7 @@ from .elliptic import (
     CgParams,
     LinearizedData,
     StartSubspace,
+    Workspace,
     apply_operator,
     cg_solve,
     linearize,
@@ -67,6 +68,7 @@ __all__ = [
     "SolverConfig",
     "StartSubspace",
     "StepRecord",
+    "Workspace",
     "apply_operator",
     "build_canyon",
     "cg_solve",

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .canyon import CanyonField, ConfigurationMask
-from .grid import GridField, _dot, require_same_geometry, rim_any
+from .grid import GridField, _dot, _scratch, require_same_geometry, rim_any
 
 __all__ = [
     "PhaseField",
@@ -81,7 +81,7 @@ def double_well(z):
     return np.square(1.0 - z) * np.square(z)
 
 
-def total_energy(z: GridField, p: ModelParams) -> float:
+def total_energy(z: GridField, p: ModelParams, work=None) -> float:
     """Discrete total energy of a field that vanishes on the boundary ring.
 
     Face-gradient term (epsilon/2) G |grad z|^2, cell double-well term
@@ -90,52 +90,65 @@ def total_energy(z: GridField, p: ModelParams) -> float:
     face coefficients (epsilon/h)^2 G_face, so the gradient term, the face
     sum (epsilon/2) G_face dz^2, is evaluated as (h^2 / 2 epsilon) z'Lz.
     That kernel zeroes its output rim, so a field with a nonzero rim is
-    rejected.
+    rejected.  With a workspace ``work`` (``elliptic.Workspace``) ``z`` is a
+    plain array and the temporaries are the workspace's.
     """
-    require_same_geometry(z, p)
-    zv = z.values
-    if rim_any(zv):
+    if work is None:
+        require_same_geometry(z, p)
+        z = z.values
+    if rim_any(z):
         raise ValueError("the energy takes a field that vanishes on the boundary ring")
     h = p.geometry.h
     cell_scale = h * h / (2.0 * p.epsilon)
-    flat = zv.ravel()
-    lz = np.empty(flat.size)
-    p.operator.apply(flat, None, lz, np.empty(flat.size - 1))
-    grad = cell_scale * _dot(flat, lz)
-    well = cell_scale * float(np.sum(p.canyon.values * double_well(zv)))
-    pin = p.lam * cell_scale * float(np.sum(p.mask.inside * zv * zv))
+    lz, face, cell = _scratch(work, z.shape, 3)
+    flat = z.ravel()
+    p.operator.apply(flat, None, lz.ravel(), face.ravel()[:-1])
+    grad = cell_scale * _dot(flat, lz.ravel())
+    # in place, rounding as G Phi(z) and chi z z
+    np.subtract(1.0, z, out=cell)
+    np.square(cell, out=cell)
+    cell *= np.square(z, out=lz)
+    cell *= p.canyon.values
+    well = cell_scale * float(np.sum(cell))
+    np.multiply(p.mask.inside, z, out=cell)
+    cell *= z
+    pin = p.lam * cell_scale * float(np.sum(cell))
     return grad + well + pin
 
 
-def _surrogate_weight(z_n: PhaseField, p: ModelParams) -> np.ndarray:
-    """Cell weight G (1 + 2 z_n^2) of the surrogate frozen at z_n.
+def _surrogate_weight(z_n: np.ndarray, p: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Cell weight G (1 + 2 z_n^2) of the surrogate frozen at the array z_n,
+    into ``out`` if given.
 
     The linearized operator is assembled from the same weight.
     """
-    require_same_geometry(z_n, p)
-    weight = np.square(z_n.values)
+    weight = np.square(z_n, out=out)
     weight *= 2.0
     weight += 1.0
     weight *= p.canyon.values
     return weight
 
 
-def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams) -> float:
+def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams, work=None) -> float:
     """Guaranteed per-step energy decrease of the majorize-minimize update.
 
     For iterates in [0, 1] the decrease is at least the canyon-weighted
     quadrature of (new - prev)^2 (2 prev + 4 m (1 - m)) / (2 epsilon) with m
     the midpoint of the two iterates; nonnegative whenever both lie in [0, 1].
+    With a workspace ``work`` (``elliptic.Workspace``) the iterates are plain
+    arrays and the temporaries are the workspace's.
     """
-    require_same_geometry(prev, p)
-    require_same_geometry(new, p)
-    a = prev.values
-    b = new.values
+    a, b = prev, new
+    if work is None:
+        require_same_geometry(prev, p)
+        require_same_geometry(new, p)
+        a, b = prev.values, new.values
     h = p.geometry.h
     # in place, rounding as G (b - a)^2 (2 a + 4 m (1 - m)) with m = (a + b) / 2
-    m = np.add(a, b)
+    m, factor = _scratch(work, a.shape, 2)
+    np.add(a, b, out=m)
     m *= 0.5
-    factor = np.subtract(1.0, m)
+    np.subtract(1.0, m, out=factor)
     m *= 4.0
     factor *= m
     factor += np.multiply(a, 2.0, out=m)

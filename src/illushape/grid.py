@@ -126,11 +126,27 @@ def gradient_magnitude(f: GridField) -> GridField:
     return GridField(f.geometry, np.hypot(gx, gy))
 
 
-def rms_diff(a: GridField, b: GridField) -> float:
-    """Root-mean-square difference over all cells; the outer stopping norm."""
-    require_same_geometry(a, b)
-    d = a.values - b.values
-    return float(np.sqrt(np.mean(d * d)))
+def rms_diff(a: GridField, b: GridField, work=None) -> float:
+    """Root-mean-square difference over all cells; the outer stopping norm.
+
+    With a workspace ``work`` (``elliptic.Workspace``) ``a`` and ``b`` are
+    plain arrays and the temporary is the workspace's.
+    """
+    if work is None:
+        require_same_geometry(a, b)
+        a, b = a.values, b.values
+    (d,) = _scratch(work, a.shape, 1)
+    np.subtract(a, b, out=d)
+    d *= d
+    return float(np.sqrt(np.mean(d)))
+
+
+def _scratch(work, shape: tuple[int, int], count: int) -> list[np.ndarray]:
+    """``count`` arrays of grid ``shape`` for a function's temporaries: the first
+    of ``work.grids`` (``elliptic.Workspace``), or new ones without a workspace."""
+    if work is None:
+        return [np.empty(shape) for _ in range(count)]
+    return list(work.grids[:count])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

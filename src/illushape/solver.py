@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
-from .elliptic import CgParams, StartSubspace, StepRecord, apply_operator, cg_solve, linearize
+from .elliptic import CgParams, StartSubspace, StepRecord, Workspace, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
 from .grid import heat_step, require_same_geometry, rms_diff, zero_rim
 
@@ -170,16 +170,29 @@ def step(
     start can leave that limit where the plain start from z_n does not, so
     such a solve is first repeated on the same linearization from z_n, and
     the step raises only if that solve leaves the limit too.
+
+    The step runs on a new ``Workspace``, as ``run``'s steps run on the
+    run's.
     """
-    data = linearize(z_n, cfg.model)
-    solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n, subspace=subspace)
-    pre_min, pre_max = float(solution.values.min()), float(solution.values.max())
-    checked = 0.0 <= float(z_n.values.min()) and float(z_n.values.max()) <= 1.0
+    require_same_geometry(z_n, cfg.model)
+    work = Workspace(cfg.model)
+    np.copyto(work.z, z_n.values)
+    record = _advance(cfg, subspace, work)
+    return PhaseField(z_n.geometry, work.z_next), record
+
+
+def _advance(cfg: SolverConfig, subspace: StartSubspace | None, work: Workspace) -> StepRecord:
+    """``step`` from the iterate in ``work.z`` to its successor in ``work.z_next``."""
+    z = work.z
+    data = linearize(z, cfg.model, work=work)
+    solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, subspace=subspace, work=work)
+    pre_min, pre_max = float(solution.min()), float(solution.max())
+    checked = 0.0 <= float(z.min()) and float(z.max()) <= 1.0
     limit = 10.0 * cfg.cg.rel_tol
     if checked and record.start_rank > 0 and max(-pre_min, pre_max - 1.0) > limit:
         spent = record
-        solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z_n)
-        pre_min, pre_max = float(solution.values.min()), float(solution.values.max())
+        solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, work=work)
+        pre_min, pre_max = float(solution.min()), float(solution.max())
         record.retried = 1
         record.cg_iters += spent.cg_iters
         record.full_applications += spent.full_applications
@@ -190,15 +203,26 @@ def step(
             f"pre-clamp excursion {excursion:.3e} exceeds 10 * rel_tol = {limit:.3e}"
         )
     record.pre_clamp_min, record.pre_clamp_max = pre_min, pre_max
-    return PhaseField(z_n.geometry, np.clip(solution.values, 0.0, 1.0)), record
+    np.clip(solution, 0.0, 1.0, out=work.z_next)
+    return record
 
 
-def euler_lagrange_residual(z: PhaseField, p: ModelParams) -> float:
-    """Interior RMS residual of the nonlinear stationarity equation at z."""
-    data = linearize(z, p)
-    az = apply_operator(z, data, p)
-    r = (az.values - data.f_n.values)[1:-1, 1:-1]
-    return float(np.sqrt(np.mean(r * r)))
+def euler_lagrange_residual(z: PhaseField, p: ModelParams, work: Workspace | None = None) -> float:
+    """Interior RMS residual of the nonlinear stationarity equation at z.
+
+    With a workspace ``work`` ``z`` is a plain array other than
+    ``work.z_next``, which the residual overwrites; without one it runs on a
+    new workspace.
+    """
+    if work is None:
+        require_same_geometry(z, p)
+        z, work = z.values, Workspace(p)
+    data = linearize(z, p, work=work)
+    az = apply_operator(z, data, p, work=work)
+    r = np.subtract(az, data.f_n, out=work.z_next)[1:-1, 1:-1]
+    # r * r contiguous, so its mean sums as a new array's would, over the dead A z
+    r2 = np.multiply(r, r, out=az.ravel()[: r.size].reshape(r.shape))
+    return float(np.sqrt(np.mean(r2)))
 
 
 def run(
@@ -212,9 +236,15 @@ def run(
     The run starts from ``initial``, or from the null hypothesis of the
     model's mask when it is None.  ``step_sink``, when given, is called as
     ``step_sink(record, field)`` after every step, with the step's record
-    (its energy and update set) and the new read-only iterate.
+    (its energy and update set) and a read-only copy of the new iterate.
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
+
+    The steps run on one ``Workspace``, into which ``initial`` is copied,
+    so a step allocates no grid array; the iterate is a plain array there,
+    and a field is built only for ``step_sink`` and the return value.  A
+    non-finite entry, which only a NaN can be after the clamp to [0, 1],
+    makes the step's energy NaN and raises ``ValueError``.
 
     Each inner solve after the first starts from a projection: the last
     ``START_DIRECTIONS`` iterate differences (fewer while the run is young)
@@ -222,28 +252,34 @@ def run(
     plus that span; ``step`` falls back to z_n when that solve leaves the
     range limit.
     """
-    z = initial if initial is not None else null_hypothesis(cfg.model.mask)
-    del initial  # so the first iterate is freed once the second replaces it
-    require_same_geometry(z, cfg.model)
+    z0 = initial if initial is not None else null_hypothesis(cfg.model.mask)
+    require_same_geometry(z0, cfg.model)
+    geom = z0.geometry
+    work = Workspace(cfg.model)
+    np.copyto(work.z, z0.values)
+    del initial, z0  # the run's copy is the only one it keeps
 
     ring = StartSubspace(START_DIRECTIONS)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
-        z_next, record = step(z, cfg, ring)
+        record = _advance(cfg, ring, work)
+        z, z_next = work.z, work.z_next
         record.iter = n
-        record.energy = total_energy(z_next, cfg.model)
-        record.rms_update = rms_diff(z_next, z)
+        record.energy = total_energy(z_next, cfg.model, work=work)
+        if not math.isfinite(record.energy):
+            raise ValueError("field has non-finite entries")
+        record.rms_update = rms_diff(z_next, z, work=work)
         if report.steps:
             prev = report.steps[-1]
             prev.rho = prev.energy - record.energy
-            prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
+            prev.drop_bound = energy_drop_bound(z, z_next, cfg.model, work=work)
         report.steps.append(record)
         if step_sink is not None:
-            step_sink(record, z_next)
-        ring.push(z_next.values, z.values)
-        z = z_next
+            step_sink(record, PhaseField(geom, z_next))
+        ring.push(z_next, z)
+        work.swap()
         if record.rms_update <= cfg.delta:
             report.status = "converged"
             break
-    report.el_residual = euler_lagrange_residual(z, cfg.model)
-    return z, report
+    report.el_residual = euler_lagrange_residual(work.z, cfg.model, work=work)
+    return PhaseField(geom, work.z), report

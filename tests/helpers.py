@@ -20,6 +20,7 @@ from illushape import (
     PhaseField,
     ShapeMask,
     SolverConfig,
+    StartSubspace,
     StepRecord,
     double_well,
     energy_drop_bound,
@@ -32,6 +33,7 @@ from illushape import (
 from illushape.cli import _TOKEN, PgmFormatError
 from illushape.energy import _surrogate_weight
 from illushape.grid import _dot, face_means, require_same_geometry, rms_diff, zero_rim
+from illushape.solver import START_DIRECTIONS
 
 DENSE_ORACLE_LIMIT = 4096
 
@@ -119,7 +121,7 @@ def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     require_same_geometry(z, p)
     zv = z.values
     h = p.geometry.h
-    weight = _surrogate_weight(z_n, p)
+    weight = _surrogate_weight(z_n.values, p)
     target = surrogate_target(z_n.values)
     cell_scale = h * h / (2.0 * p.epsilon)
     grad = cell_scale * diffusion_form(z, z, p)
@@ -139,7 +141,7 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     zv = z.values
     uv = u.values
     h = p.geometry.h
-    weight = _surrogate_weight(z_n, p)
+    weight = _surrogate_weight(z_n.values, p)
     target = surrogate_target(z_n.values)
     cell_scale = h * h / p.epsilon
     grad = cell_scale * diffusion_form(u, z, p)
@@ -340,11 +342,15 @@ def iou(a: ShapeMask, b: ShapeMask) -> float:
     return inter / union
 
 
-def above_one(solution: GridField) -> GridField:
-    """``solution`` with its middle cell set 1e-3 above 1, far past the step's range limit."""
-    values = solution.values.copy()
+def above_one(solution):
+    """``solution`` with its middle cell set 1e-3 above 1, far past the step's range limit.
+
+    Takes and returns a field, or the plain array that ``cg_solve`` returns
+    with a workspace.
+    """
+    values = (solution.values if isinstance(solution, GridField) else solution).copy()
     values[values.shape[0] // 2, values.shape[1] // 2] = 1.0 + 1e-3
-    return GridField(solution.geometry, values)
+    return GridField(solution.geometry, values) if isinstance(solution, GridField) else values
 
 
 def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
@@ -354,10 +360,25 @@ def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     the same loop and bookkeeping, calling ``step`` without a subspace, so
     no step is retried.
     """
+    return _field_run(cfg, None)
+
+
+def reference_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
+    """``solver.run`` as a loop of the public functions that take fields and
+    allocate their own arrays.
+
+    The reference for the run's workspace: ``step`` with the run's projected
+    start, then ``total_energy``, ``rms_diff``, ``energy_drop_bound`` and the
+    final ``euler_lagrange_residual``, each on fields and without a workspace.
+    """
+    return _field_run(cfg, StartSubspace(START_DIRECTIONS))
+
+
+def _field_run(cfg: SolverConfig, ring: StartSubspace | None) -> tuple[PhaseField, IterationReport]:
     z = null_hypothesis(cfg.model.mask)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
-        z_next, record = step(z, cfg)
+        z_next, record = step(z, cfg, ring)
         record.iter = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)
@@ -366,6 +387,8 @@ def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
             prev.rho = prev.energy - record.energy
             prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
         report.steps.append(record)
+        if ring is not None:
+            ring.push(z_next.values, z.values)
         z = z_next
         if record.rms_update <= cfg.delta:
             report.status = "converged"

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from illushape import (
     GridGeometry,
     LinearizedData,
     StartSubspace,
+    Workspace,
     apply_operator,
     cg_solve,
     linearize,
@@ -481,9 +484,31 @@ def test_cg_budget_exhaustion_raises_with_best_iterate():
         assert np.array_equal(err.value.best.values.view(np.uint64), ref.value.best.values.view(np.uint64))
 
 
+@pytest.mark.parametrize("width", [64, 63])
+def test_workspace_layout(width):
+    # 8.5 grid arrays on even widths, each array on a 64-byte boundary, and the
+    # scratch's grid arrays over compact arrays 2i and 2i + 1 only
+    geom = GridGeometry(width, 48)
+    work = Workspace(flat_model(geom))
+    own = [work.z, work.z_next, work.g, work.f]
+    arrays = [*own, *work.compact, *work.grids]
+    assert all(a.ctypes.data % 64 == 0 and a.flags.c_contiguous for a in arrays)
+    assert all(a.shape == geom.shape for a in (*own, *work.grids))
+    assert [c.size for c in work.compact] == [48 * ((width + 1) // 2)] * 9
+    for i, grid in enumerate(work.grids):
+        assert [np.shares_memory(grid, c) for c in work.compact] == [k in (2 * i, 2 * i + 1) for k in range(9)]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([*own, *work.compact], 2))
+    z, z_next = work.z, work.z_next
+    work.swap()
+    assert work.z is z_next and work.z_next is z
+
+
 def test_cg_params_validation():
-    with pytest.raises(ValueError):
-        CgParams(rel_tol=0.0)
+    eps = np.finfo(float).eps
+    assert CgParams(rel_tol=eps).rel_tol == eps
+    for tight in (0.0, eps / 2, 1e-300, 5e-324, math.nan):
+        with pytest.raises(ValueError, match="machine epsilon"):
+            CgParams(rel_tol=tight)
     with pytest.raises(ValueError):
         CgParams(rel_tol=1e-3)
     with pytest.raises(ValueError):

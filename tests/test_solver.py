@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from illushape import (
 from illushape import solver
 from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
-from helpers import above_one, plain_run, random_phase, surrogate_energy
+from helpers import above_one, plain_run, random_phase, reference_run, surrogate_energy
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,123 @@ def test_step_retries_a_projected_start_that_leaves_the_range(small_setup, monke
     with pytest.raises(RangePreservationError, match="pre-clamp excursion 1.000e-03"):
         step(z2, cfg, ring)
     assert len(solves) == 2
+
+
+def _assert_same_run(got, want) -> None:
+    """Two runs' records, final fields and stationarity residuals, bit for bit."""
+    (z, report), (z_want, wanted) = got, want
+    assert report.status == wanted.status
+    assert [repr(dataclasses.astuple(s)) for s in report.steps] == [
+        repr(dataclasses.astuple(s)) for s in wanted.steps
+    ]
+    assert z.values.tobytes() == z_want.values.tobytes()
+    assert repr(report.el_residual) == repr(wanted.el_residual)
+
+
+@pytest.mark.parametrize(
+    "make_mask, rel_tol, max_outer",
+    [
+        (lambda: kanizsa_triangle(64, 64), 1e-10, 5000),
+        (ellipse_triangle, 1e-6, 40),
+        # the odd width pads every other row of the compact red-black arrays
+        (lambda: illusory_disk(101, 97), 1e-10, 5000),
+    ],
+    ids=["kanizsa-64", "ellipse-triangle-cgtol6", "disk-101x97"],
+)
+def test_run_workspace_matches_the_allocating_reference(make_mask, rel_tol, max_outer):
+    # the run reuses one workspace for every step; a loop of the public functions,
+    # each allocating its own arrays, takes the same steps bit for bit
+    cfg = SolverConfig(model=default_model(make_mask()), cg=CgParams(rel_tol=rel_tol), max_outer=max_outer)
+    got = run(cfg)
+    _assert_same_run(got, reference_run(cfg))
+    assert any(s.start_rank > 0 for s in got[1].steps)
+
+
+def test_run_workspace_retries_like_the_reference(monkeypatch):
+    # the fifth projected solve leaves the range limit, so that step solves
+    # again from z_n inside the run's workspace
+    cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=12)
+    real_cg_solve = solver.cg_solve
+    projected = []
+
+    def fifth_projected_out_of_range(*args, subspace=None, **kwargs):
+        solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
+        if subspace is not None and subspace.count:
+            projected.append(stats.start_rank)
+            if len(projected) == 5:
+                return above_one(solution), stats
+        return solution, stats
+
+    monkeypatch.setattr(solver, "cg_solve", fifth_projected_out_of_range)
+    got = run(cfg)
+    assert projected[4] > 0
+    projected.clear()
+    _assert_same_run(got, reference_run(cfg))
+    assert [s.iter for s in got[1].steps if s.retried] == [6]
+
+
+def test_run_rejects_a_non_finite_iterate(small_setup, monkeypatch):
+    # the clamp keeps a NaN, whose energy is NaN: the run raises as a field would
+    _, cfg = small_setup
+    real_cg_solve = solver.cg_solve
+
+    def nan_in_the_middle(*args, **kwargs):
+        solution, stats = real_cg_solve(*args, **kwargs)
+        solution[solution.shape[0] // 2, solution.shape[1] // 2] = math.nan
+        return solution, stats
+
+    monkeypatch.setattr(solver, "cg_solve", nan_in_the_middle)
+    seen = []
+    with pytest.raises(ValueError, match="non-finite"):
+        run(cfg, step_sink=lambda record, field: seen.append(record))
+    assert seen == []
+
+
+def test_run_allocates_its_workspace_and_ring_only():
+    # past the operator, a run holds its workspace, the ring's six differences,
+    # one field (the start before it is copied, the result after the run) and
+    # its report, which grows by a record a step
+    mask = kanizsa_triangle(64, 64)
+    cfg = SolverConfig(model=default_model(mask))
+    cfg.model.operator  # built once per model, outside the measurement
+    height, width = mask.geometry.shape
+    grid = 8 * height * width
+    workspace = 8 * (4 * height * width + 9 * height * ((width + 1) // 2))
+    tracemalloc.start()
+    try:
+        _, report = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert workspace == 8.5 * grid
+    assert peak <= workspace + 6 * grid + 1 * grid + len(report.steps) * 1024 + 16384
+
+
+FAULTS_PER_STEP = """
+import resource
+from illushape import CgParams, SolverConfig, default_model, run
+from illushape.fixtures import ellipse_triangle
+cfg = SolverConfig(model=default_model(ellipse_triangle()), cg=CgParams(rel_tol=1e-6), max_outer=120)
+faults = {}
+def sink(record, field):
+    if record.iter in (20, 120):
+        faults[record.iter] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run(cfg, step_sink=sink)
+print((faults[120] - faults[20]) / 100)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_run_steps_take_no_fresh_pages():
+    # a step that allocated its grid arrays would have the C library hand them back
+    # to the kernel and fault them in again, zeroed, every step
+    src = str(Path(illushape.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_STEP], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(done.stdout) < 10.0
 
 
 def test_run_from_zero_field_stops_immediately(small_setup):
