@@ -312,7 +312,9 @@ def run_command(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         # an overflow would otherwise end in a non-finite field or an "Infinity" in the summary
         with np.errstate(over="raise", invalid="raise"):
-            final, report = run(cfg, initial=initial.pop(), step_sink=step_sink)
+            # no sink without a flag that needs one: a sink costs a field copy a step
+            sink = step_sink if args.progress or args.snapshot_every else None
+            final, report = run(cfg, initial=initial.pop(), step_sink=sink)
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)
         components = connected_components(shape)

@@ -38,6 +38,11 @@ RANK_RTOL = 1e-15
 
 EPS = float(np.finfo(float).eps)
 
+# The reduced CG's product S d runs over bands of this many compact entries,
+# rounded down to whole rows (``Operator.schur_plan``): 64 rows, 128 KB an
+# array, at 512^2, so a band's arrays stay in a 2 MB L2 between its passes.
+BAND_CELLS = 2**14
+
 
 @dataclass(frozen=True, eq=False)
 class LinearizedData:
@@ -192,14 +197,10 @@ class Operator:
         self.c_br = ce.ravel()[:-1]
         self.c_rbw = cn.ravel()[w:]
         self.c_brw = cs.ravel()[:-w]
-        # the other four as (coupling, its black cells, its red cells), slices of
-        # the compact arrays: red k - 1, k + 1, k - w (north), k + w (south)
-        self.links = (
-            (self.c_rb, slice(1, None), slice(None, -1)),
-            (self.c_br, slice(None, -1), slice(1, None)),
-            (self.c_rbw, slice(w, None), slice(None, -w)),
-            (self.c_brw, slice(None, -w), slice(w, None)),
-        )
+        # the other four as (coupling, black offset, red offset): entry i couples
+        # black cell i + its black offset to red cell i + its red offset, that is
+        # red k - 1, k + 1, k - w (north) and k + w (south) of black cell k
+        self.links = ((self.c_rb, 1, 0), (self.c_br, 0, 1), (self.c_rbw, w, 0), (self.c_brw, 0, w))
 
     def apply(
         self, z: np.ndarray, g: np.ndarray | None, out: np.ndarray, face: np.ndarray
@@ -259,23 +260,59 @@ class Operator:
             cells = out[r::2, (r + colour) % 2 :: 2]
             cells[...] = compact[r::2, : cells.shape[1]]
 
-    def to_black(self, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """``out = N_br y``: each black cell's couplings times its red neighbours' ``y``.
+    def couple(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray, colour: int, lo: int, hi: int) -> list:
+        """The calls of ``out = N x`` on entries [lo, hi) of ``out``, as
+        ``(ufunc, a, b, out)`` tuples for ``_run``.
 
-        ``tmp`` is scratch.  Each sum runs west and east, then north, then south.
+        N is N_br, black cells from red ones, for ``colour`` ``BLACK`` and its
+        transpose N_rb for ``RED``; ``tmp`` is scratch over the same entries.
+        Each sum runs over the horizontal neighbours, then north, then south:
+        the link table's order for black cells, its two vertical links swapped
+        for red ones.  A cell's products and sums are the same whatever range
+        [lo, hi) holds it.
         """
-        np.multiply(self.c_same, y, out=out)
-        for c, black, red in self.links:
-            np.multiply(c, y[red], out=tmp[black])
-            out[black] += tmp[black]
+        calls = [(np.multiply, self.c_same[lo:hi], x[lo:hi], out[lo:hi])]
+        links = self.links if colour == BLACK else (*self.links[:2], self.links[3], self.links[2])
+        for c, black, red in links:
+            to, source = (black, red) if colour == BLACK else (red, black)
+            i, j = max(lo - to, 0), min(hi - to, len(c))  # empty where [lo, hi) misses the link
+            o, t = out[i + to : j + to], tmp[i + to : j + to]
+            calls += [(np.multiply, c[i:j], x[i + source : j + source], t), (np.add, o, t, o)]
+        return calls
+
+    def to_black(self, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """``out = N_br y``: each black cell's couplings times its red neighbours' ``y``."""
+        _run(self.couple(y, out, tmp, BLACK, 0, len(out)))
 
     def to_red(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """``out = N_rb x``, the transpose of ``to_black``, in the same order."""
-        np.multiply(self.c_same, x, out=out)
-        west_east, north_of_black, south_of_black = self.links[:2], self.links[2], self.links[3]
-        for c, black, red in (*west_east, south_of_black, north_of_black):
-            np.multiply(c, x[black], out=tmp[red])
-            out[red] += tmp[red]
+        """``out = N_rb x``, the transpose of ``to_black``."""
+        _run(self.couple(x, out, tmp, RED, 0, len(out)))
+
+    def schur_plan(
+        self, d: np.ndarray, out: np.ndarray, u: np.ndarray, tmp: np.ndarray, drinv: np.ndarray, d_black: np.ndarray
+    ) -> list:
+        """The calls of ``out = S d = D_b d - N_br D_r^-1 N_rb d``, band by band.
+
+        A band is ``BAND_CELLS`` compact entries rounded down to whole rows of
+        w = ceil(W/2), at least one row.  For black rows [a, b) it computes
+        ``u = D_r^-1 N_rb d`` on red rows [a - w, b + w), the ones their sums
+        read, then ``out = D_b d - N_br u`` on [a, b), with ``tmp`` as scratch,
+        so a band's arrays stay in cache between the steps.  Every cell gets
+        the products and sums of the whole-array chain in the same order, so
+        ``out`` is the same bit for bit; the red rows next to a band's edge
+        are computed for both bands they touch.
+        """
+        m, w = len(d), self.half
+        rows = max(BAND_CELLS // w, 1) * w
+        plan = []
+        for a in range(0, m, rows):
+            b = min(a + rows, m)
+            lo, hi = max(a - w, 0), min(b + w, m)
+            plan += self.couple(d, u, tmp, RED, lo, hi)
+            plan.append((np.multiply, u[lo:hi], drinv[lo:hi], u[lo:hi]))
+            plan += self.couple(u, out, tmp, BLACK, a, b)
+            plan += [(np.multiply, d_black[a:b], d[a:b], tmp[a:b]), (np.subtract, tmp[a:b], out[a:b], out[a:b])]
+        return plan
 
     def reduced_diagonal(
         self, d_black: np.ndarray, drinv: np.ndarray, out: np.ndarray, tmp: np.ndarray
@@ -287,7 +324,8 @@ class Operator:
         """
         np.multiply(self.c_same, self.c_same, out=out)
         out *= drinv
-        for c, black, red in self.links:
+        for c, b, r in self.links:
+            black, red = slice(b, b + len(c)), slice(r, r + len(c))
             np.multiply(c, c, out=tmp[black])
             tmp[black] *= drinv[red]
             out[black] += tmp[black]
@@ -386,6 +424,9 @@ class Workspace:
     ``energy_drop_bound``, ``grid.rms_diff``, ``apply_operator`` and
     ``solver.euler_lagrange_residual`` take their temporaries from
     ``grids`` before or after the solve, the last also ``z_next``.
+    ``schur`` holds ``cg_solve``'s plan of the product S d over ``compact``
+    (``Operator.schur_plan``), views only, with the operator it was built
+    for; the first solve builds it.
 
     Each of those functions takes it as ``work``; their field arguments and
     results are then plain arrays of the grid's shape, and no grid array is
@@ -401,10 +442,17 @@ class Workspace:
         self.compact = tuple(row[:m] for row in slot)
         pairs = slot[:8].reshape(4, -1)
         self.grids = tuple(pair[:n].reshape(geom.shape) for pair in pairs)
+        self.schur: tuple[Operator, list] | None = None  # cg_solve's S d plan and its operator
 
     def swap(self) -> None:
         """Make ``z_next`` the iterate, and the old iterate's array the next one's."""
         self.z, self.z_next = self.z_next, self.z
+
+
+def _run(calls: list) -> None:
+    """Run the ``(ufunc, a, b, out)`` calls of an ``Operator`` plan in order."""
+    for f, a, b, o in calls:
+        f(a, b, out=o)
 
 
 def _aligned_rows(rows: int, length: int) -> np.ndarray:
@@ -471,11 +519,13 @@ def cg_solve(
     N_rb x_b) leaves no red residual.  The reduced residual is then the full
     one, and S converges in about half the iterations of A, each on
     half-length vectors.  The loop works in place on compact flat buffers,
-    the preconditioned residual doubling as the products' scratch, and every
-    reduction is ``_dot``, so repeated solves are bit-identical whatever the
-    BLAS thread count.  The returned record has the solve's fields set
-    (see ``StepRecord``); its reduced applications count the elimination and
-    the back-substitution together as one.
+    the preconditioned residual doubling as the products' scratch; each
+    product S d runs the workspace's band plan (``Operator.schur_plan``),
+    built on the first solve.  Every reduction is ``_dot``, so repeated
+    solves are bit-identical whatever the BLAS thread count.  The returned
+    record has the solve's fields set (see ``StepRecord``); its reduced
+    applications count the elimination and the back-substitution together
+    as one.
 
     The solve runs in a ``Workspace``.  With ``work`` given, the fields of
     ``data`` and ``warm_start`` are plain arrays, and the solution is
@@ -565,6 +615,10 @@ def cg_solve(
     minv.fill(0.0)
     np.divide(1.0, q, out=minv, where=q > 0.0)  # rim and pad entries stay 0
 
+    if work.schur is None or work.schur[0] is not op:
+        work.schur = op, op.schur_plan(db, q, u, zb, drinv, db_diag)
+    plan = work.schur[1]
+
     r_norm = math.sqrt(_dot(rb, rb))
     k = 0
     breakdown = False
@@ -575,11 +629,7 @@ def cg_solve(
         while k < max_iters:
             k += 1
             # q = S db; zb is free until the preconditioner refills it
-            op.to_red(db, u, zb)
-            u *= drinv
-            op.to_black(u, q, zb)
-            np.multiply(db_diag, db, out=zb)
-            np.subtract(zb, q, out=q)
+            _run(plan)
             curvature = _dot(db, q)
             if not 0.0 < curvature < math.inf:
                 breakdown = True

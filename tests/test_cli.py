@@ -548,6 +548,25 @@ def test_run_command_writes_snapshots(tmp_path):
     assert not (out / "snap_000003.pgm").exists()
 
 
+def test_run_command_passes_a_sink_only_for_progress_or_snapshots(tmp_path, monkeypatch, capsys):
+    # a sink costs a field copy a step, so a run without either flag gets none
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(48, 48)))
+    sinks = []
+    real_run = cli.run
+
+    def spy(cfg, **kwargs):
+        sinks.append(kwargs["step_sink"])
+        return real_run(cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run", spy)
+    for flags, wanted in (([], False), (["--progress", "2"], True), (["--snapshot-every", "2"], True)):
+        out = tmp_path / f"out{len(sinks)}"
+        assert run_command(["--input", str(path), "--out-dir", str(out), "--max-outer", "3", *flags]) == 2
+        assert callable(sinks[-1]) if wanted else sinks[-1] is None
+    capsys.readouterr()
+
+
 def test_fixture_writer_cli(tmp_path, capsys):
     from illushape.fixtures import main as fixtures_main
 

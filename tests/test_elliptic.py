@@ -163,10 +163,14 @@ def assert_same_solve(got, expected):
     assert repr(stats) == repr(stats_ref)  # an int/float drift in a field fails too
 
 
-def test_cg_matches_textbook_pcg_bitwise():
+def test_cg_matches_textbook_pcg_bitwise(monkeypatch):
+    # the default band covers these grids whole; one and three compact rows a band
+    # split the reduced loop's S d into many
     rng = np.random.default_rng(59)
+    default = elliptic.BAND_CELLS
     for geom in (GridGeometry(16, 16), GridGeometry(21, 13)):
-        for _ in range(10):
+        for band, _ in itertools.product((default, 1, 3 * ((geom.width + 1) // 2)), range(10)):
+            monkeypatch.setattr(elliptic, "BAND_CELLS", band)
             data, p = random_instance(geom, rng)
             cg = CgParams(rel_tol=float(rng.choice([1e-6, 1e-10])))
             assert_same_solve(cg_solve(data, p, cg), textbook_reduced_pcg(data, p, cg))
@@ -181,6 +185,53 @@ def test_cg_matches_textbook_pcg_bitwise():
                 (x, dataclasses.replace(stats, full_applications=stats.full_applications - 2)),
                 expected,
             )
+
+
+def test_banded_schur_product_matches_the_whole_array_chain():
+    # 256 x 160 is 20,480 compact entries, two bands of BAND_CELLS; every cell of
+    # S d gets the whole-array chain's products and sums in the same order
+    rng = np.random.default_rng(61)
+    geom = GridGeometry(256, 160)
+    _, p = random_instance(geom, rng)
+    op = p.operator
+    m = geom.height * ((geom.width + 1) // 2)
+    d, drinv, d_black = (rng.uniform(0.5, 2.0, size=m) for _ in range(3))
+    out, u, tmp = np.empty(m), np.empty(m), np.empty(m)
+    plan = op.schur_plan(d, out, u, tmp, drinv, d_black)
+    assert sum(f is np.subtract for f, *_ in plan) == 2  # one D_b d - . per band
+    elliptic._run(plan)
+
+    want, red, scratch = np.empty(m), np.empty(m), np.empty(m)
+    op.to_red(d, red, scratch)
+    red *= drinv
+    op.to_black(red, want, scratch)
+    np.subtract(d_black * d, want, out=want)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def test_schur_plan_holds_views_only():
+    # every array of a workspace's plan is a view of its compact scratch or of the
+    # operator's couplings, so the plan adds no grid data; it is built on the
+    # first solve, once per workspace and operator
+    rng = np.random.default_rng(67)
+    geom = GridGeometry(256, 160)
+    data, p = random_instance(geom, rng)
+    work = Workspace(p)
+    assert work.schur is None
+    arrays = LinearizedData(data.g_n.values, data.f_n.values)
+    cg_solve(arrays, p, CgParams(rel_tol=1e-6), work=work)
+    op, plan = work.schur
+    assert op is p.operator
+    owners = [*work.compact, op.c_same, *(c for c, _, _ in op.links)]
+    for call in plan:
+        for a in call[1:]:
+            assert any(np.shares_memory(a, owner) for owner in owners)
+    cg_solve(arrays, p, CgParams(rel_tol=1e-6), work=work)
+    assert work.schur[1] is plan
+    # a model of the same grid has other couplings, so a solve with it builds its own
+    _, other = random_instance(geom, rng)
+    cg_solve(arrays, other, CgParams(rel_tol=1e-6), work=work)
+    assert work.schur[0] is other.operator
 
 
 def test_operator_symmetry():

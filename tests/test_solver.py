@@ -24,7 +24,7 @@ from illushape import (
     step,
     total_energy,
 )
-from illushape import solver
+from illushape import elliptic, solver
 from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
 from helpers import above_one, plain_run, random_phase, reference_run, surrogate_energy
@@ -277,6 +277,20 @@ def test_run_workspace_matches_the_allocating_reference(make_mask, rel_tol, max_
     got = run(cfg)
     _assert_same_run(got, reference_run(cfg))
     assert any(s.start_rank > 0 for s in got[1].steps)
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [lambda: kanizsa_triangle(64, 64), lambda: illusory_disk(101, 97)],
+    ids=["kanizsa-64", "disk-101x97"],
+)
+def test_run_with_one_row_bands_matches_the_default_run(make_mask, monkeypatch):
+    # the default band covers these grids whole; one compact row a band gives the
+    # reduced loop's S d a band edge at every row, and the run the same steps bit for bit
+    cfg = SolverConfig(model=default_model(make_mask()))
+    want = run(cfg)
+    monkeypatch.setattr(elliptic, "BAND_CELLS", 1)
+    _assert_same_run(run(cfg), want)
 
 
 def test_run_workspace_retries_like_the_reference(monkeypatch):
