@@ -36,6 +36,10 @@ RED, BLACK = 0, 1  # checkerboard colours: cells with i + j even, odd
 # matrix whose eigenvalues exceed this much of its largest.
 RANK_RTOL = 1e-15
 
+# A full ring whose scaled Galerkin matrix has an eigenvalue below this much
+# of its largest holds a nearly dependent row, which the next push replaces.
+EVICT_RTOL = 1e-13
+
 EPS = float(np.finfo(float).eps)
 
 # The reduced CG's product S d runs over bands of this many compact entries,
@@ -333,15 +337,19 @@ class Operator:
 
 
 class StartSubspace:
-    """The last ``size`` iterate differences of an outer run, for ``cg_solve``'s start.
+    """Recent iterate differences of an outer run, for ``cg_solve``'s start.
 
     The differences are held flat with a zero rim, one per row of a (size, N)
-    array: row i holds the i-th one pushed until the ring is full, and then
-    each push overwrites the oldest.  The inner operator is A_n = L +
-    diag(g_n), and L, the model's diffusion part, is the same at every step,
-    so the Gram d_i'L d_j is kept here: a new difference costs one
-    application of L, on the next solve, and only d_i' diag(g_n) d_j is
-    recomputed per step.
+    array: row i holds the i-th one pushed until the ring is full.  After
+    that a push overwrites the row that ``galerkin`` chose at the last
+    start: the row that weighs most in a near-null direction of the
+    Galerkin matrix when it has one, otherwise the row, never the newest,
+    that carried the least of the start.  A push with no choice pending, because no
+    start came after the last push, overwrites rows first in, first out.
+    The inner operator is A_n = L + diag(g_n), and L, the model's diffusion
+    part, is the same at every step, so the Gram d_i'L d_j is kept here: a
+    new difference costs one application of L, on the next solve, and only
+    d_i' diag(g_n) d_j is recomputed per step.
     """
 
     def __init__(self, size: int):
@@ -350,7 +358,9 @@ class StartSubspace:
         self.size = size
         self.diffs: np.ndarray | None = None
         self.count = 0
-        self.head = 0  # the row the next push writes
+        self.head = 0  # the row the next push writes without a choice
+        self.newest = -1  # the row the last push wrote
+        self.evict: int | None = None  # the row the next push writes, chosen by galerkin
         self.l_gram = np.zeros((size, size))
         self.stale: list[int] = []  # rows whose L-Gram entries are yet to be computed
 
@@ -363,11 +373,14 @@ class StartSubspace:
         """Enter ``new - old`` for a grid array ``new`` (the rim is zeroed)."""
         if self.diffs is None:
             self.diffs = np.empty((self.size, new.size))
-        row = self.diffs[self.head].reshape(new.shape)  # raises on another grid size
+        slot = self.head if self.evict is None else self.evict
+        row = self.diffs[slot].reshape(new.shape)  # raises on another grid size
         zero_rim(np.subtract(new, old, out=row))
-        if self.head not in self.stale:
-            self.stale.append(self.head)
-        self.head = (self.head + 1) % self.size
+        if slot not in self.stale:
+            self.stale.append(slot)
+        if slot == self.head:
+            self.head = (self.head + 1) % self.size
+        self.newest, self.evict = slot, None
         self.count = min(self.count + 1, self.size)
 
     def galerkin(
@@ -381,6 +394,12 @@ class StartSubspace:
         ``RANK_RTOL`` times the largest; the rank counts those.  ``work``
         (length N) and ``face`` (N - 1) are scratch.  The inner products go
         through ``np.einsum``; only the small system uses ``numpy.linalg``.
+
+        A full ring also chooses the row the next push overwrites.  When the
+        smallest eigenvalue is below ``EVICT_RTOL`` times the largest, it is
+        the row whose entry in that eigenvector is the largest in magnitude.
+        Otherwise it is the row, other than the newest, whose part of the
+        start has the least A-norm, |theta_i| sqrt(G_ii).
         """
         rows = self.rows
         k = len(rows)
@@ -399,9 +418,16 @@ class StartSubspace:
         scale[diag > 0.0] = 1.0 / np.sqrt(diag[diag > 0.0])
         lam, v = np.linalg.eigh(gram * np.outer(scale, scale))
         keep = lam > RANK_RTOL * lam[-1]
-        v = v[:, keep]
         rhs = scale * np.einsum("n,jn->j", r, rows)
-        theta = scale * (v @ ((v.T @ rhs) / lam[keep]))
+        kept = v[:, keep]
+        theta = scale * (kept @ ((kept.T @ rhs) / lam[keep]))
+        if k == self.size:
+            if lam[0] < EVICT_RTOL * lam[-1]:
+                self.evict = int(np.argmax(np.abs(v[:, 0])))
+            else:
+                used = np.abs(theta) * np.sqrt(diag)
+                used[self.newest] = math.inf
+                self.evict = int(np.argmin(used))
         return theta, int(keep.sum()), applied
 
 

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-# The projected start searches the span of this many last iterate differences.
+# The projected start searches the span of this many recent iterate differences.
 START_DIRECTIONS = 6
 
 # Relative slack of the energy audit: a step may raise the energy, or drop it
@@ -246,11 +246,12 @@ def run(
     non-finite entry, which only a NaN can be after the clamp to [0, 1],
     makes the step's energy NaN and raises ``ValueError``.
 
-    Each inner solve after the first starts from a projection: the last
-    ``START_DIRECTIONS`` iterate differences (fewer while the run is young)
-    span a subspace, and ``cg_solve`` starts from the best point of z_n
-    plus that span; ``step`` falls back to z_n when that solve leaves the
-    range limit.
+    Each inner solve after the first starts from a projection: a ring of
+    up to ``START_DIRECTIONS`` recent iterate differences
+    (``StartSubspace``) spans a subspace, and ``cg_solve`` starts from the
+    best point of z_n plus that span; ``step`` falls back to z_n when that
+    solve leaves the range limit.  The ring is released before the final
+    residual and field.
     """
     z0 = initial if initial is not None else null_hypothesis(cfg.model.mask)
     require_same_geometry(z0, cfg.model)
@@ -281,5 +282,6 @@ def run(
         if record.rms_update <= cfg.delta:
             report.status = "converged"
             break
+    del ring  # so the returned field does not sit on top of its differences
     report.el_residual = euler_lagrange_residual(work.z, cfg.model, work=work)
     return PhaseField(geom, work.z), report

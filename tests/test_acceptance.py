@@ -63,9 +63,10 @@ def split_run():
 
 
 def test_criterion_01_one_sixth_law():
-    t0 = time.perf_counter()
+    # process CPU time, as criterion 7's run is timed
+    t0 = time.process_time()
     value = profile_measure_1d(1.0 / 64.0, 0.5, 8192)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert 0.1650 <= value <= 0.1683
     assert elapsed < 1.0
     print(f"criterion 1 PASS: 1-D profile measure {value:.6f} in [0.1650, 0.1683] "
@@ -77,14 +78,14 @@ def test_criterion_02_cg_matches_dense_oracle():
 
     rng = np.random.default_rng(2024)
     geom = GridGeometry(16, 16)
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     worst = 0.0
     for _ in range(50):
         data, model = random_instance(geom, rng)
         solution, _ = cg_solve(data, model, CgParams())
         reference = dense_solve_oracle(data, model)
         worst = max(worst, float(np.abs(solution.values - reference.values).max()))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert worst <= 1e-8
     assert elapsed < 10.0
     print(f"criterion 2 PASS: max |cg - dense| = {worst:.3e} over 50 instances "

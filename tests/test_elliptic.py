@@ -414,6 +414,87 @@ def test_ring_keeps_the_last_differences():
     assert np.allclose(theta, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
+def test_full_ring_replaces_a_nearly_dependent_row():
+    # row 2 is the sum of the five others to 1e-9: the near-null eigenvector
+    # weighs each row by its norm, the sum's the largest, so the next push
+    # overwrites row 2 and only its L-Gram entries are rebuilt
+    rng = np.random.default_rng(89)
+    geom = GridGeometry(10, 9)
+    data, p = random_instance(geom, rng)
+    K = dense_matrix(data, p)
+    b = interior(data.f_n.values)
+    warm = zero_rim_field(geom, rng, 0.0, 1.0)
+    others = [zero_rim_field(geom, rng).values for _ in range(5)]
+    dependent = zero_rim(sum(others) + 1e-9 * zero_rim_field(geom, rng).values)
+    space = subspace_of(others[:2] + [dependent] + others[2:])
+    assert space.evict is None
+    _, rank, _ = galerkin_start(data, p, warm, space)
+    assert rank == 5
+    assert space.evict == 2
+    new = zero_rim_field(geom, rng).values
+    space.push(new, 0.0)
+    assert space.evict is None and space.newest == 2
+    held = [row.reshape(geom.shape) for row in space.rows]
+    assert np.array_equal(held[2], new)
+    assert all(np.array_equal(h, c) for h, c in zip(held[:2] + held[3:], others))
+    theta, rank, applied = galerkin_start(data, p, warm, space)
+    assert rank == 6 and applied == 1
+    D = np.stack([interior(h) for h in held], axis=1)
+    want = np.linalg.solve(D.T @ K @ D, D.T @ (b - K @ interior(warm.values)))
+    assert np.allclose(theta, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_full_ring_replaces_its_least_used_row_never_the_newest():
+    # the start x0 + D theta reaches the exact solution on rows 0-4 alone, so the
+    # newest row, 5, carries none of it, and of the others row 3, weighted
+    # least, carries the least A-norm |theta_i| sqrt(d_i'K d_i)
+    rng = np.random.default_rng(97)
+    geom = GridGeometry(11, 10)
+    data, p = random_instance(geom, rng)
+    K = dense_matrix(data, p)
+    exact = dense_solve_oracle(data, p).values
+    columns = [zero_rim_field(geom, rng).values for _ in range(6)]
+    weights = [1.0, -0.5, 2.0, 0.01, 0.7]
+    warm = GridField(geom, exact - sum(c * w for c, w in zip(columns, weights)))
+    space = subspace_of(columns)
+    assert space.newest == 5
+    theta, rank, _ = galerkin_start(data, p, warm, space)
+    assert rank == 6
+    D = np.stack([interior(c) for c in columns], axis=1)
+    used = np.abs(theta) * np.sqrt(np.einsum("ni,nm,mi->i", D, K, D))
+    assert np.allclose(theta[:5], weights, rtol=1e-8)
+    assert used[5] < 1e-6 * used[:5].min()
+    assert space.evict == int(np.argmin(used[:5])) == 3
+    space.push(zero_rim_field(geom, rng).values, 0.0)
+    assert space.newest == 3 and space.head == 0
+    # the next start may not pick the row just written, however little it carries
+    galerkin_start(data, p, warm, space)
+    assert space.evict not in (None, 3)
+
+
+def test_ring_stays_first_in_first_out_without_a_choice():
+    # a ring still filling chooses nothing, and a full ring pushed to twice
+    # without a start between takes the second push first in, first out
+    rng = np.random.default_rng(101)
+    geom = GridGeometry(9, 8)
+    data, p = random_instance(geom, rng)
+    warm = zero_rim_field(geom, rng, 0.0, 1.0)
+    space = StartSubspace(4)
+    written, chosen = [], []
+    for n in range(8):
+        if n in (2, 5):
+            galerkin_start(data, p, warm, space)
+        chosen.append(space.evict)
+        space.push(zero_rim_field(geom, rng).values, 0.0)
+        written.append(space.newest)
+    choice = chosen[5]
+    assert [n for n, c in enumerate(chosen) if c is not None] == [5]
+    assert written[:5] == [0, 1, 2, 3, 0]
+    assert written[5] == choice != 0
+    # the FIFO head moves on from 1 after a push that chose it
+    assert written[6:] == ([2, 3] if choice == 1 else [1, 2])
+
+
 def test_rank_deficient_subspaces_start_no_worse():
     # a zero column, a duplicate and two nearly parallel columns: the Gram is
     # singular or nearly so, and the start must neither fail nor lose to z_n;
