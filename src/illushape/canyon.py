@@ -65,6 +65,8 @@ class CanyonParams:
         for name in ("sigma", "alpha", "beta", "gain"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.alpha + self.beta):
+            raise ValueError("alpha + beta, the canyon's ceiling, must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta < 0:

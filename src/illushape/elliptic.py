@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ModelParams, _surrogate_weight
-from .grid import GridField, _dot, _scratch, face_means, require_same_geometry, zero_rim
+from .grid import _dot, _grid_array, _scratch, face_means, zero_rim
 
 __all__ = [
     "LinearizedData",
@@ -50,11 +50,11 @@ BAND_CELLS = 2**14
 
 @dataclass(frozen=True, eq=False)
 class LinearizedData:
-    """Reaction coefficient and right-hand side of the inner problem: fields,
-    or the plain arrays of a ``Workspace``."""
+    """Reaction coefficient and right-hand side of the inner problem, as grid
+    arrays."""
 
-    g_n: GridField
-    f_n: GridField
+    g_n: np.ndarray
+    f_n: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ class StepRecord:
 
 class CgConvergenceError(RuntimeError):
     """Iteration budget exhausted, or a breakdown: a curvature or a
-    preconditioned residual norm outside (0, inf).  Carries the best iterate
-    and its residual."""
+    preconditioned residual norm outside (0, inf).  Carries a copy of the
+    best iterate, a grid array, and its residual."""
 
-    def __init__(self, best: GridField, residual: float, iterations: int, breakdown: bool = False):
+    def __init__(self, best: np.ndarray, residual: float, iterations: int, breakdown: bool = False):
         what = f"broke down at iteration {iterations}" if breakdown else f"did not converge in {iterations} iterations"
         super().__init__(f"conjugate gradient {what} (relative residual {residual:.3e})")
         self.best = best
@@ -121,25 +121,19 @@ class CgConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def linearize(z_n: GridField, p: ModelParams, work: Workspace | None = None) -> LinearizedData:
-    """Coefficients of the inner linear problem frozen at iterate z_n.
+def linearize(z_n: np.ndarray, p: ModelParams, work: Workspace | None = None) -> LinearizedData:
+    """Coefficients of the inner linear problem frozen at the grid array z_n.
 
-    With a workspace ``work`` ``z_n`` is a plain array, and the coefficients
-    are written into ``work.g`` and ``work.f`` and returned as those arrays.
+    With a workspace ``work`` they are written into ``work.g`` and
+    ``work.f`` and returned as those arrays; without one they are new.
     """
-    if work is None:
-        require_same_geometry(z_n, p)
-        z = z_n.values
-        g, f = np.empty(z.shape), np.empty(z.shape)
-    else:
-        z, g, f = z_n, work.g, work.f
+    z = _grid_array(z_n, p.geometry.shape)
+    g, f = (np.empty(z.shape), np.empty(z.shape)) if work is None else (work.g, work.f)
     (zz,) = _scratch(work, z.shape, 1)
     _surrogate_weight(z, p, out=g)
     np.add(g, p.lam, out=g, where=p.mask.inside)
     np.multiply(p.canyon.values, 3.0, out=f)
     f *= np.square(z, out=zz)
-    if work is None:
-        return LinearizedData(GridField(z_n.geometry, g), GridField(z_n.geometry, f))
     return LinearizedData(g, f)
 
 
@@ -454,10 +448,10 @@ class Workspace:
     (``Operator.schur_plan``), views only, with the operator it was built
     for; the first solve builds it.
 
-    Each of those functions takes it as ``work``; their field arguments and
-    results are then plain arrays of the grid's shape, and no grid array is
-    allocated.  Without one they allocate as they go and take and return
-    fields.
+    Each of those functions takes it as ``work`` and then allocates no grid
+    array; without one they allocate their scratch as they go.  Either way
+    they take and return grid arrays, and take a field where they take a
+    grid array (``GridField.__array__``).
     """
 
     def __init__(self, p: ModelParams):
@@ -499,38 +493,35 @@ def _aligned_rows(rows: int, length: int) -> np.ndarray:
 
 
 def apply_operator(
-    z: GridField, data: LinearizedData, p: ModelParams, work: Workspace | None = None
-) -> GridField:
-    """Matrix-free application of the symmetric positive definite operator.
+    z: np.ndarray, data: LinearizedData, p: ModelParams, work: Workspace | None = None
+) -> np.ndarray:
+    """Matrix-free application of the symmetric positive definite operator
+    to the grid array ``z``.
 
     Boundary entries of the argument are treated as Dirichlet zeros and the
-    result is zero on the rim.  With a workspace ``work`` ``z`` and ``data``
-    hold plain arrays and the result is one of ``work.grids``.
+    result is zero on the rim.  The result is one of ``work.grids`` with a
+    workspace ``work``, and new without one.
     """
-    if work is None:
-        require_same_geometry(z, p)
-        z, g = z.values, data.g_n.values
-    else:
-        g = data.g_n
+    z = _grid_array(z, p.geometry.shape)
     zi, out, face = _scratch(work, z.shape, 3)
     np.copyto(zi, z)
     zero_rim(zi)
-    p.operator.apply(zi.ravel(), g.ravel(), out.ravel(), face.ravel()[:-1])
-    return GridField(p.geometry, out) if work is None else out
+    p.operator.apply(zi.ravel(), data.g_n.ravel(), out.ravel(), face.ravel()[:-1])
+    return out
 
 
 def cg_solve(
     data: LinearizedData,
     p: ModelParams,
     cg: CgParams = CgParams(),
-    warm_start: GridField | None = None,
+    warm_start: np.ndarray | None = None,
     subspace: StartSubspace | None = None,
     work: Workspace | None = None,
-) -> tuple[GridField, StepRecord]:
+) -> tuple[np.ndarray, StepRecord]:
     """Solve A z = f_n by Jacobi-preconditioned CG on the red-black reduced system.
 
     Stops when the relative residual drops to ``rel_tol``; a zero right-hand
-    side short-circuits to the zero field.  The start is set in the full
+    side short-circuits to zero.  The start is set in the full
     space.  With a nonempty ``subspace`` D, the start x0 moves to x0 + s, s =
     D theta, the best point of x0 + span(D) in the A-norm (``StartSubspace.
     galerkin``), when s lowers the inner quadratic x'Ax/2 - f'x, that is
@@ -553,20 +544,15 @@ def cg_solve(
     applications count the elimination and the back-substitution together
     as one.
 
-    The solve runs in a ``Workspace``.  With ``work`` given, the fields of
-    ``data`` and ``warm_start`` are plain arrays, and the solution is
-    written into ``work.z_next`` and returned as that array; without it the
-    solve runs in a new workspace and returns a field.
+    The solve runs in the workspace ``work``, or in a new one without it,
+    and the solution is written into its ``z_next`` and returned as that
+    array.
     """
-    if work is None:
-        if warm_start is not None:
-            require_same_geometry(warm_start, data.f_n)
-        arrays = LinearizedData(data.g_n.values, data.f_n.values)
-        x0 = None if warm_start is None else warm_start.values
-        solution, record = cg_solve(arrays, p, cg, x0, subspace, Workspace(p))
-        return GridField(data.f_n.geometry, solution), record
-
     geom = p.geometry
+    if warm_start is not None:
+        warm_start = _grid_array(warm_start, geom.shape)
+    if work is None:
+        work = Workspace(p)
     n = geom.cells
     op = p.operator
     g = data.g_n.ravel()
@@ -685,7 +671,7 @@ def cg_solve(
     op.join(u, RED, out)
     zero_rim(out)
     if breakdown or r_norm > tol:
-        raise CgConvergenceError(GridField(geom, out), r_norm / f_norm, k, breakdown)
+        raise CgConvergenceError(out.copy(), r_norm / f_norm, k, breakdown)
     return out, StepRecord(
         cg_iters=k, cg_residual=r_norm / f_norm, start_rank=rank,
         full_applications=full, reduced_applications=k + 1,

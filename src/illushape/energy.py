@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .canyon import CanyonField, ConfigurationMask
-from .grid import GridField, _dot, _scratch, require_same_geometry, rim_any
+from .grid import GridField, _dot, _grid_array, _scratch, require_same_geometry, rim_any
 
 __all__ = [
     "PhaseField",
@@ -81,21 +81,19 @@ def double_well(z):
     return np.square(1.0 - z) * np.square(z)
 
 
-def total_energy(z: GridField, p: ModelParams, work=None) -> float:
-    """Discrete total energy of a field that vanishes on the boundary ring.
+def total_energy(z: np.ndarray, p: ModelParams, work=None) -> float:
+    """Discrete total energy of a grid array that vanishes on the boundary ring.
 
     Face-gradient term (epsilon/2) G |grad z|^2, cell double-well term
     G Phi(z) / (2 epsilon), and confinement lam chi z^2 / (2 epsilon), all
     under midpoint quadrature.  The diffusion part L of ``p.operator`` has
     face coefficients (epsilon/h)^2 G_face, so the gradient term, the face
     sum (epsilon/2) G_face dz^2, is evaluated as (h^2 / 2 epsilon) z'Lz.
-    That kernel zeroes its output rim, so a field with a nonzero rim is
-    rejected.  With a workspace ``work`` (``elliptic.Workspace``) ``z`` is a
-    plain array and the temporaries are the workspace's.
+    That kernel zeroes its output rim, so an array with a nonzero rim is
+    rejected.  The temporaries are ``work``'s (``elliptic.Workspace``), or
+    new without one.
     """
-    if work is None:
-        require_same_geometry(z, p)
-        z = z.values
+    z = _grid_array(z, p.geometry.shape)
     if rim_any(z):
         raise ValueError("the energy takes a field that vanishes on the boundary ring")
     h = p.geometry.h
@@ -129,20 +127,17 @@ def _surrogate_weight(z_n: np.ndarray, p: ModelParams, out: np.ndarray | None = 
     return weight
 
 
-def energy_drop_bound(prev: PhaseField, new: PhaseField, p: ModelParams, work=None) -> float:
+def energy_drop_bound(prev: np.ndarray, new: np.ndarray, p: ModelParams, work=None) -> float:
     """Guaranteed per-step energy decrease of the majorize-minimize update.
 
     For iterates in [0, 1] the decrease is at least the canyon-weighted
     quadrature of (new - prev)^2 (2 prev + 4 m (1 - m)) / (2 epsilon) with m
-    the midpoint of the two iterates; nonnegative whenever both lie in [0, 1].
-    With a workspace ``work`` (``elliptic.Workspace``) the iterates are plain
-    arrays and the temporaries are the workspace's.
+    the midpoint of the two iterates, grid arrays; nonnegative whenever both
+    lie in [0, 1].  The temporaries are ``work``'s (``elliptic.Workspace``),
+    or new without one.
     """
-    a, b = prev, new
-    if work is None:
-        require_same_geometry(prev, p)
-        require_same_geometry(new, p)
-        a, b = prev.values, new.values
+    shape = p.geometry.shape
+    a, b = _grid_array(prev, shape), _grid_array(new, shape)
     h = p.geometry.h
     # in place, rounding as G (b - a)^2 (2 a + 4 m (1 - m)) with m = (a + b) / 2
     m, factor = _scratch(work, a.shape, 2)

@@ -71,6 +71,10 @@ class GridField:
             raise ValueError("field has non-finite entries")
         object.__setattr__(self, "values", v)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The read-only values, so that a kernel takes a field as a grid array."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     @classmethod
     def zeros(cls, geometry: GridGeometry):
         return cls(geometry, np.zeros(geometry.shape))
@@ -126,19 +130,25 @@ def gradient_magnitude(f: GridField) -> GridField:
     return GridField(f.geometry, np.hypot(gx, gy))
 
 
-def rms_diff(a: GridField, b: GridField, work=None) -> float:
-    """Root-mean-square difference over all cells; the outer stopping norm.
+def rms_diff(a: np.ndarray, b: np.ndarray, work=None) -> float:
+    """Root-mean-square difference of two grid arrays; the outer stopping norm.
 
-    With a workspace ``work`` (``elliptic.Workspace``) ``a`` and ``b`` are
-    plain arrays and the temporary is the workspace's.
+    The temporary is ``work``'s (``elliptic.Workspace``), or new without one.
     """
-    if work is None:
-        require_same_geometry(a, b)
-        a, b = a.values, b.values
+    a = np.asarray(a)
+    b = _grid_array(b, a.shape)
     (d,) = _scratch(work, a.shape, 1)
     np.subtract(a, b, out=d)
     d *= d
     return float(np.sqrt(np.mean(d)))
+
+
+def _grid_array(a, shape: tuple[int, int]) -> np.ndarray:
+    """``a``, a grid array or a field, as an array; rejects any other shape."""
+    a = np.asarray(a)
+    if a.shape != shape:
+        raise ValueError(f"an array of shape {a.shape} and a grid of shape {shape} are different grids")
+    return a
 
 
 def _scratch(work, shape: tuple[int, int], count: int) -> list[np.ndarray]:

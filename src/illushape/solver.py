@@ -207,16 +207,15 @@ def _advance(cfg: SolverConfig, subspace: StartSubspace | None, work: Workspace)
     return record
 
 
-def euler_lagrange_residual(z: PhaseField, p: ModelParams, work: Workspace | None = None) -> float:
-    """Interior RMS residual of the nonlinear stationarity equation at z.
+def euler_lagrange_residual(z: np.ndarray, p: ModelParams, work: Workspace | None = None) -> float:
+    """Interior RMS residual of the nonlinear stationarity equation at the
+    grid array z.
 
-    With a workspace ``work`` ``z`` is a plain array other than
-    ``work.z_next``, which the residual overwrites; without one it runs on a
-    new workspace.
+    It runs on the workspace ``work``, whose ``z_next`` it overwrites, so
+    ``z`` must be another array, or on a new workspace without one.
     """
     if work is None:
-        require_same_geometry(z, p)
-        z, work = z.values, Workspace(p)
+        work = Workspace(p)
     data = linearize(z, p, work=work)
     az = apply_operator(z, data, p, work=work)
     r = np.subtract(az, data.f_n, out=work.z_next)[1:-1, 1:-1]

@@ -12,7 +12,6 @@ from illushape import (
     CgConvergenceError,
     CgParams,
     ConfigurationMask,
-    GridField,
     GridGeometry,
     IterationReport,
     LinearizedData,
@@ -94,8 +93,7 @@ def random_instance(
 ) -> tuple[LinearizedData, ModelParams]:
     """Random linearized inner problem: z_n in [0,1], G in [0.1, 1.1], random mask."""
     model = random_model(geom, rng)
-    z_n = GridField(geom, rng.uniform(0.0, 1.0, size=geom.shape))
-    return linearize(z_n, model), model
+    return linearize(rng.uniform(0.0, 1.0, size=geom.shape), model), model
 
 
 def surrogate_target(z):
@@ -180,12 +178,12 @@ def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
     unit vector, so the matrix is ``apply_operator`` written out; bounded by
     ``DENSE_ORACLE_LIMIT`` unknowns.
     """
-    geom = data.f_n.geometry
+    geom = p.geometry
     cells = np.arange(geom.cells).reshape(geom.shape)[1:-1, 1:-1].ravel()
     n = len(cells)
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} interior unknowns")
-    g = data.g_n.values.ravel()
+    g = data.g_n.ravel()
     unit, out, face = np.zeros(geom.cells), np.empty(geom.cells), np.empty(geom.cells - 1)
     K = np.empty((n, n))
     for j, k in enumerate(cells):
@@ -196,15 +194,15 @@ def dense_matrix(data: LinearizedData, p: ModelParams) -> np.ndarray:
     return K
 
 
-def dense_solve_oracle(data: LinearizedData, p: ModelParams) -> GridField:
+def dense_solve_oracle(data: LinearizedData, p: ModelParams) -> np.ndarray:
     """Direct dense solve of the interior system for small grids: LU
-    elimination with partial pivoting on ``dense_matrix``."""
-    geom = data.f_n.geometry
+    elimination with partial pivoting on ``dense_matrix``, as a grid array."""
+    geom = p.geometry
     K = dense_matrix(data, p)
-    b = data.f_n.values[1:-1, 1:-1].ravel()
+    b = data.f_n[1:-1, 1:-1].ravel()
     full = np.zeros(geom.shape)
     full[1:-1, 1:-1] = np.linalg.solve(K, b).reshape(geom.height - 2, geom.width - 2)
-    return GridField(geom, full)
+    return full
 
 
 def face_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -239,10 +237,10 @@ def textbook_reduced_pcg(
     data: LinearizedData,
     p: ModelParams,
     cg: CgParams = CgParams(),
-    warm_start: GridField | None = None,
-) -> tuple[GridField, StepRecord]:
+    warm_start: np.ndarray | None = None,
+) -> tuple[np.ndarray, StepRecord]:
     """Jacobi PCG on the red-black reduced system as written in the textbooks,
-    allocating on 2-D arrays.
+    allocating on 2-D arrays, which it takes and returns.
 
     The reference for ``cg_solve``: the same full-space start, stopping rule,
     work counts and ``CgConvergenceError``.  With red cells i + j even and
@@ -254,10 +252,10 @@ def textbook_reduced_pcg(
     products run over the black cells packed row by row into an
     (H, ceil(W/2)) array with zero pads, the order ``cg_solve`` keeps.
     """
-    geom = data.f_n.geometry
+    geom = p.geometry
     height, width = geom.shape
     cx, cy = face_coefficients(p)
-    g = data.g_n.values
+    g = data.g_n
     inner = zero_rim(np.ones(geom.shape, dtype=bool))
     rows, cols = np.indices(geom.shape)
     black = (rows + cols) % 2 == 1
@@ -282,17 +280,17 @@ def textbook_reduced_pcg(
     def dot(a, b):
         return _dot(pack(a), pack(b))
 
-    f = zero_rim(data.f_n.values.copy())
+    f = zero_rim(data.f_n.copy())
     f_norm = math.sqrt(_dot(f.ravel(), f.ravel()))
     if f_norm == 0.0:
-        return GridField.zeros(geom), StepRecord()
-    x = np.zeros(geom.shape) if warm_start is None else zero_rim(warm_start.values.copy())
+        return np.zeros(geom.shape), StepRecord()
+    x = np.zeros(geom.shape) if warm_start is None else zero_rim(np.array(warm_start))
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     tol = cg.rel_tol * f_norm
     r = f - flux_apply(x, cx, cy, g)
     r_norm = math.sqrt(_dot(r.ravel(), r.ravel()))
     if r_norm <= tol:
-        return GridField(geom, x), StepRecord(cg_residual=r_norm / f_norm, full_applications=1)
+        return x, StepRecord(cg_residual=r_norm / f_norm, full_applications=1)
 
     diag = flux_diagonal(cx, cy, g)
     dinv_red = np.where(inner & ~black, 1.0 / diag, 0.0)
@@ -323,8 +321,8 @@ def textbook_reduced_pcg(
             rz_next = dot(r, z)
             d = z + (rz_next / rz) * d
             rz = rz_next
-    x_red = (neighbour_sum(x) + data.f_n.values) * dinv_red
-    solution = GridField(geom, zero_rim(np.where(black, x, x_red)))
+    x_red = (neighbour_sum(x) + data.f_n) * dinv_red
+    solution = zero_rim(np.where(black, x, x_red))
     if r_norm > tol:
         raise CgConvergenceError(solution, r_norm / f_norm, max_iters)
     return solution, StepRecord(
@@ -342,15 +340,12 @@ def iou(a: ShapeMask, b: ShapeMask) -> float:
     return inter / union
 
 
-def above_one(solution):
-    """``solution`` with its middle cell set 1e-3 above 1, far past the step's range limit.
-
-    Takes and returns a field, or the plain array that ``cg_solve`` returns
-    with a workspace.
-    """
-    values = (solution.values if isinstance(solution, GridField) else solution).copy()
+def above_one(solution: np.ndarray) -> np.ndarray:
+    """A copy of the grid array ``solution`` with its middle cell set 1e-3
+    above 1, far past the step's range limit."""
+    values = solution.copy()
     values[values.shape[0] // 2, values.shape[1] // 2] = 1.0 + 1e-3
-    return GridField(solution.geometry, values) if isinstance(solution, GridField) else values
+    return values
 
 
 def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
@@ -364,12 +359,12 @@ def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
 
 
 def reference_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
-    """``solver.run`` as a loop of the public functions that take fields and
-    allocate their own arrays.
+    """``solver.run`` as a loop of the kernels, each call on its own scratch.
 
-    The reference for the run's workspace: ``step`` with the run's projected
-    start, then ``total_energy``, ``rms_diff``, ``energy_drop_bound`` and the
-    final ``euler_lagrange_residual``, each on fields and without a workspace.
+    The reference for the run's workspace, whose scratch aliases by phase:
+    ``step`` with the run's projected start, then ``total_energy``,
+    ``rms_diff``, ``energy_drop_bound`` and the final
+    ``euler_lagrange_residual``, each without a workspace.
     """
     return _field_run(cfg, StartSubspace(START_DIRECTIONS))
 

@@ -199,6 +199,9 @@ def test_params_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CanyonParams(**{"sigma": 0.1, name: bad})
+    # each finite, but the ceiling overflows: the build would warn, then fail
+    with pytest.raises(ValueError, match="ceiling"):
+        CanyonParams(sigma=0.1, alpha=1e308, beta=1e308)
 
 
 def test_mask_geometry_checked():

@@ -52,8 +52,8 @@ def test_linearize_at_zero():
     p = random_model(geom, rng)
     data = linearize(GridField.zeros(geom), p)
     chi = p.mask.indicator()
-    assert np.allclose(data.g_n.values, p.canyon.values + p.lam * chi, rtol=0, atol=0)
-    assert np.all(data.f_n.values == 0.0)
+    assert np.allclose(data.g_n, p.canyon.values + p.lam * chi, rtol=0, atol=0)
+    assert np.all(data.f_n == 0.0)
 
 
 def test_linearize_at_one():
@@ -64,8 +64,8 @@ def test_linearize_at_one():
     p = random_model(geom, rng)
     data = linearize(GridField.full(geom, 1.0), p)
     chi = p.mask.indicator()
-    assert np.allclose(data.g_n.values, 3.0 * p.canyon.values + p.lam * chi, rtol=1e-15)
-    assert np.allclose(data.f_n.values, 3.0 * p.canyon.values, rtol=1e-15)
+    assert np.allclose(data.g_n, 3.0 * p.canyon.values + p.lam * chi, rtol=1e-15)
+    assert np.allclose(data.f_n, 3.0 * p.canyon.values, rtol=1e-15)
 
 
 def test_linearize_consistency_identity():
@@ -80,11 +80,11 @@ def test_linearize_consistency_identity():
     chi = p.mask.indicator()
     for i in range(geom.height):
         for j in range(geom.width):
-            lhs = data.f_n.values[i, j]
-            rhs = data.g_n.values[i, j] * gamma[i, j] - p.lam * chi[i, j] * gamma[i, j]
+            lhs = data.f_n[i, j]
+            rhs = data.g_n[i, j] * gamma[i, j] - p.lam * chi[i, j] * gamma[i, j]
             assert lhs == pytest.approx(rhs, abs=1e-12)
-    assert np.all(data.g_n.values >= p.canyon.alpha)
-    assert np.all(data.f_n.values >= 0.0)
+    assert np.all(data.g_n >= p.canyon.alpha)
+    assert np.all(data.f_n >= 0.0)
 
 
 def test_operator_on_zero_field():
@@ -92,7 +92,7 @@ def test_operator_on_zero_field():
     geom = GridGeometry(9, 9)
     data, p = random_instance(geom, rng)
     out = apply_operator(GridField.zeros(geom), data, p)
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_flat_kernel_matches_flux_form_bitwise():
@@ -102,8 +102,8 @@ def test_flat_kernel_matches_flux_form_bitwise():
             data, p = random_instance(geom, rng)
             z = zero_rim_field(geom, rng)
             cx, cy = face_coefficients(p)
-            expected = flux_apply(z.values, cx, cy, data.g_n.values)
-            got = apply_operator(z, data, p).values
+            expected = flux_apply(z.values, cx, cy, data.g_n)
+            got = apply_operator(z, data, p)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -148,9 +148,9 @@ def galerkin_start(data, p, warm, space):
     n = warm.geometry.cells
     x = zero_rim(warm.values.copy()).ravel()
     ax = np.empty(n)
-    p.operator.apply(x, data.g_n.values.ravel(), ax, np.empty(n - 1))
-    r = zero_rim(data.f_n.values.copy()).ravel() - ax
-    return space.galerkin(p.operator, data.g_n.values.ravel(), r, np.empty(n), np.empty(n - 1))
+    p.operator.apply(x, data.g_n.ravel(), ax, np.empty(n - 1))
+    r = zero_rim(data.f_n.copy()).ravel() - ax
+    return space.galerkin(p.operator, data.g_n.ravel(), r, np.empty(n), np.empty(n - 1))
 
 
 def interior(a):
@@ -159,7 +159,7 @@ def interior(a):
 
 def assert_same_solve(got, expected):
     (x, stats), (x_ref, stats_ref) = got, expected
-    assert np.array_equal(x.values.view(np.uint64), x_ref.values.view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
     assert repr(stats) == repr(stats_ref)  # an int/float drift in a field fails too
 
 
@@ -218,19 +218,18 @@ def test_schur_plan_holds_views_only():
     data, p = random_instance(geom, rng)
     work = Workspace(p)
     assert work.schur is None
-    arrays = LinearizedData(data.g_n.values, data.f_n.values)
-    cg_solve(arrays, p, CgParams(rel_tol=1e-6), work=work)
+    cg_solve(data, p, CgParams(rel_tol=1e-6), work=work)
     op, plan = work.schur
     assert op is p.operator
     owners = [*work.compact, op.c_same, *(c for c, _, _ in op.links)]
     for call in plan:
         for a in call[1:]:
             assert any(np.shares_memory(a, owner) for owner in owners)
-    cg_solve(arrays, p, CgParams(rel_tol=1e-6), work=work)
+    cg_solve(data, p, CgParams(rel_tol=1e-6), work=work)
     assert work.schur[1] is plan
     # a model of the same grid has other couplings, so a solve with it builds its own
     _, other = random_instance(geom, rng)
-    cg_solve(arrays, other, CgParams(rel_tol=1e-6), work=work)
+    cg_solve(data, other, CgParams(rel_tol=1e-6), work=work)
     assert work.schur[0] is other.operator
 
 
@@ -241,8 +240,8 @@ def test_operator_symmetry():
         data, p = random_instance(geom, rng)
         z = zero_rim_field(geom, rng)
         w = zero_rim_field(geom, rng)
-        az_w = float(np.sum(apply_operator(z, data, p).values * w.values))
-        aw_z = float(np.sum(apply_operator(w, data, p).values * z.values))
+        az_w = float(np.sum(apply_operator(z, data, p) * w.values))
+        aw_z = float(np.sum(apply_operator(w, data, p) * z.values))
         assert az_w == pytest.approx(aw_z, rel=1e-12)
 
 
@@ -254,7 +253,7 @@ def test_operator_matches_dirichlet_laplacian_eigenpair():
     h = geom.h
     p = flat_model(geom, g_value=1.0, epsilon=2 * h)
     c = 0.7
-    data = LinearizedData(GridField.full(geom, c), GridField.zeros(geom))
+    data = LinearizedData(np.full(geom.shape, c), np.zeros(geom.shape))
     k, l = 3, 2
     rows = np.sin(np.pi * k * np.arange(geom.height) / (geom.height - 1))
     cols = np.sin(np.pi * l * np.arange(geom.width) / (geom.width - 1))
@@ -266,7 +265,7 @@ def test_operator_matches_dirichlet_laplacian_eigenpair():
         + np.sin(np.pi * l / (2 * (geom.width - 1))) ** 2
     )
     expected = (p.epsilon**2 * lam + c) * v
-    got = apply_operator(GridField(geom, v), data, p).values
+    got = apply_operator(v, data, p)
     assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
@@ -279,7 +278,7 @@ def test_operator_is_gradient_of_surrogate():
             z, z_n = random_phase(geom, rng), random_phase(geom, rng)
             u = random_phase(geom, rng, lo=-1.0, hi=1.0)
             data = linearize(z_n, p)
-            residual = apply_operator(z, data, p).values - data.f_n.values
+            residual = apply_operator(z, data, p) - data.f_n
             expected = geom.h**2 / p.epsilon * float(np.sum(u.values * residual))
             assert first_variation(z, u, z_n, p) == pytest.approx(expected, rel=1e-12)
 
@@ -290,8 +289,8 @@ def test_operator_positive_definite():
     for _ in range(10):
         data, p = random_instance(geom, rng)
         z = zero_rim_field(geom, rng)
-        quad = float(np.sum(apply_operator(z, data, p).values * z.values))
-        floor = float(data.g_n.values[1:-1, 1:-1].min()) * float(np.sum(z.values**2))
+        quad = float(np.sum(apply_operator(z, data, p) * z.values))
+        floor = float(data.g_n[1:-1, 1:-1].min()) * float(np.sum(z.values**2))
         assert quad >= floor - 1e-12
 
 
@@ -299,9 +298,9 @@ def test_cg_zero_rhs_short_circuits():
     rng = np.random.default_rng(11)
     geom = GridGeometry(12, 12)
     data, p = random_instance(geom, rng)
-    zero_data = LinearizedData(data.g_n, GridField.zeros(geom))
+    zero_data = LinearizedData(data.g_n, np.zeros(geom.shape))
     solution, stats = cg_solve(zero_data, p)
-    assert np.all(solution.values == 0.0)
+    assert np.all(solution == 0.0)
     assert stats.cg_iters == 0
     assert stats.cg_residual == 0.0
 
@@ -313,7 +312,7 @@ def test_cg_matches_dense_oracle():
         data, p = random_instance(geom, rng)
         solution, _ = cg_solve(data, p, CgParams())
         reference = dense_solve_oracle(data, p)
-        assert np.abs(solution.values - reference.values).max() <= 1e-8
+        assert np.abs(solution - reference).max() <= 1e-8
 
 
 def test_reduced_cg_on_small_and_odd_grids():
@@ -324,11 +323,11 @@ def test_reduced_cg_on_small_and_odd_grids():
         for _ in range(5):
             data, p = random_instance(geom, rng)
             reference = dense_solve_oracle(data, p)
-            f = zero_rim(data.f_n.values.copy())
+            f = zero_rim(data.f_n.copy())
             for warm in (None, zero_rim_field(geom, rng, 0.0, 1.0)):
                 solution, stats = cg_solve(data, p, CgParams(), warm_start=warm)
-                assert np.abs(solution.values - reference.values).max() <= 1e-8
-                r = f - apply_operator(solution, data, p).values
+                assert np.abs(solution - reference).max() <= 1e-8
+                r = f - apply_operator(solution, data, p)
                 assert np.linalg.norm(r) <= CgParams().rel_tol * np.linalg.norm(f)
                 assert stats.cg_residual <= CgParams().rel_tol
 
@@ -340,15 +339,15 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     exact = dense_solve_oracle(data, p)
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=exact)
     assert stats.cg_iters == 0
-    assert np.array_equal(solution.values, exact.values)
+    assert np.array_equal(solution, exact)
     # so does a start elsewhere from a subspace that contains the solution
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     other = zero_rim_field(geom, rng).values
-    space = subspace_of([other, exact.values - warm.values, other + exact.values - warm.values])
+    space = subspace_of([other, exact - warm.values, other + exact - warm.values])
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=warm, subspace=space)
     assert stats.cg_iters == 0
     assert stats.start_rank == 2
-    assert np.abs(solution.values - exact.values).max() <= 1e-9
+    assert np.abs(solution - exact).max() <= 1e-9
 
 
 def test_projected_start_is_the_galerkin_minimizer():
@@ -360,7 +359,7 @@ def test_projected_start_is_the_galerkin_minimizer():
             for _ in range(5):
                 data, p = random_instance(geom, rng)
                 K = dense_matrix(data, p)
-                b = interior(data.f_n.values)
+                b = interior(data.f_n)
 
                 def q(x):
                     return 0.5 * x @ K @ x - b @ x
@@ -394,7 +393,7 @@ def test_ring_keeps_the_last_differences():
     geom = GridGeometry(10, 9)
     data, p = random_instance(geom, rng)
     K = dense_matrix(data, p)
-    b = interior(data.f_n.values)
+    b = interior(data.f_n)
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     x0 = interior(warm.values)
     iterates = [zero_rim_field(geom, rng).values for _ in range(9)]
@@ -422,7 +421,7 @@ def test_full_ring_replaces_a_nearly_dependent_row():
     geom = GridGeometry(10, 9)
     data, p = random_instance(geom, rng)
     K = dense_matrix(data, p)
-    b = interior(data.f_n.values)
+    b = interior(data.f_n)
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     others = [zero_rim_field(geom, rng).values for _ in range(5)]
     dependent = zero_rim(sum(others) + 1e-9 * zero_rim_field(geom, rng).values)
@@ -452,7 +451,7 @@ def test_full_ring_replaces_its_least_used_row_never_the_newest():
     geom = GridGeometry(11, 10)
     data, p = random_instance(geom, rng)
     K = dense_matrix(data, p)
-    exact = dense_solve_oracle(data, p).values
+    exact = dense_solve_oracle(data, p)
     columns = [zero_rim_field(geom, rng).values for _ in range(6)]
     weights = [1.0, -0.5, 2.0, 0.01, 0.7]
     warm = GridField(geom, exact - sum(c * w for c, w in zip(columns, weights)))
@@ -505,7 +504,7 @@ def test_rank_deficient_subspaces_start_no_worse():
     for _ in range(5):
         data, p = random_instance(geom, rng)
         K = dense_matrix(data, p)
-        b = interior(data.f_n.values)
+        b = interior(data.f_n)
         reference = dense_solve_oracle(data, p)
         warm = zero_rim_field(geom, rng, 0.0, 1.0)
         u, v, w = (zero_rim_field(geom, rng).values for _ in range(3))
@@ -527,7 +526,7 @@ def test_rank_deficient_subspaces_start_no_worse():
                 return 0.5 * x @ K @ x - b @ x
 
             solution, stats = cg_solve(data, p, CgParams(), warm_start=warm, subspace=space)
-            assert np.abs(solution.values - reference.values).max() <= 1e-8
+            assert np.abs(solution - reference).max() <= 1e-8
             # a kept start is never worse than z_n; a worse one is dropped
             assert stats.start_rank in (0, rank)
             if stats.start_rank:
@@ -585,13 +584,13 @@ def test_cg_residual_contract_on_random_instances():
     for _ in range(100):
         data, p = random_instance(geom, rng)
         solution, stats = cg_solve(data, p, cg)
-        r = data.f_n.values.copy()
+        r = data.f_n.copy()
         r[0, :] = r[-1, :] = 0.0
         r[:, 0] = r[:, -1] = 0.0
-        r -= apply_operator(solution, data, p).values
+        r -= apply_operator(solution, data, p)
         rel = np.linalg.norm(r.ravel()) / np.linalg.norm(
             np.where(
-                np.pad(np.ones((14, 14), dtype=bool), 1), data.f_n.values, 0.0
+                np.pad(np.ones((14, 14), dtype=bool), 1), data.f_n, 0.0
             ).ravel()
         )
         assert rel <= cg.rel_tol
@@ -608,12 +607,12 @@ def test_cg_budget_exhaustion_raises_with_best_iterate():
             cg_solve(data, p, cg, warm_start=warm)
         assert err.value.iterations == max_iters
         assert err.value.residual > 0.0
-        assert err.value.best.values.shape == geom.shape
+        assert err.value.best.shape == geom.shape
         # the same iterate, bit for bit, as the textbook loop when it runs out
         with pytest.raises(CgConvergenceError) as ref:
             textbook_reduced_pcg(data, p, cg, warm_start=warm)
         assert err.value.residual == ref.value.residual
-        assert np.array_equal(err.value.best.values.view(np.uint64), ref.value.best.values.view(np.uint64))
+        assert np.array_equal(err.value.best.view(np.uint64), ref.value.best.view(np.uint64))
 
 
 @pytest.mark.parametrize("width", [64, 63])
@@ -665,7 +664,7 @@ def test_dense_oracle_single_unknown_closed_form():
     )
     g = rng.uniform(1.0, 2.0, size=geom.shape)
     f = rng.uniform(0.0, 1.0, size=geom.shape)
-    data = LinearizedData(GridField(geom, g), GridField(geom, f))
+    data = LinearizedData(g, f)
     faces = (
         0.5 * (G[1, 1] + G[1, 0])
         + 0.5 * (G[1, 1] + G[1, 2])
@@ -674,8 +673,8 @@ def test_dense_oracle_single_unknown_closed_form():
     )
     expected = f[1, 1] / ((p.epsilon / h) ** 2 * faces + g[1, 1])
     got = dense_solve_oracle(data, p)
-    assert got.values[1, 1] == pytest.approx(expected, rel=1e-14)
-    assert np.all(got.values[0, :] == 0.0)
+    assert got[1, 1] == pytest.approx(expected, rel=1e-14)
+    assert np.all(got[0, :] == 0.0)
 
 
 def test_dense_solution_satisfies_equation():
@@ -684,7 +683,7 @@ def test_dense_solution_satisfies_equation():
     data, p = random_instance(geom, rng)
     sol = dense_solve_oracle(data, p)
     back = apply_operator(sol, data, p)
-    residual = np.abs(back.values - data.f_n.values)[1:-1, 1:-1].max()
+    residual = np.abs(back - data.f_n)[1:-1, 1:-1].max()
     assert residual <= 1e-10
 
 
@@ -700,13 +699,13 @@ def test_dense_matrix_matches_operator_columns():
         for k in range(rows * cols):
             unit = np.zeros(geom.shape)
             unit[1 + k // cols, 1 + k % cols] = 1.0
-            column = flux_apply(unit, cx, cy, data.g_n.values)[1:-1, 1:-1].ravel()
+            column = flux_apply(unit, cx, cy, data.g_n)[1:-1, 1:-1].ravel()
             assert np.array_equal(K[:, k].view(np.uint64), column.view(np.uint64))
 
 
 def test_dense_oracle_size_limit():
     geom = GridGeometry(80, 80)
-    data = LinearizedData(GridField.full(geom, 1.0), GridField.zeros(geom))
+    data = LinearizedData(np.ones(geom.shape), np.zeros(geom.shape))
     p = flat_model(geom)
     with pytest.raises(ValueError):
         dense_solve_oracle(data, p)
@@ -719,6 +718,6 @@ def test_dense_solution_nonnegative_for_nonnegative_rhs():
     for _ in range(10):
         data, p = random_instance(geom, rng)
         f = rng.uniform(0.0, 1.0, size=geom.shape)
-        nonneg = LinearizedData(data.g_n, GridField(geom, f))
+        nonneg = LinearizedData(data.g_n, f)
         sol = dense_solve_oracle(nonneg, p)
-        assert sol.values.min() >= -1e-12
+        assert sol.min() >= -1e-12

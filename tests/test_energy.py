@@ -248,7 +248,7 @@ def test_first_variation_vanishes_at_inner_solution():
     zn = random_phase(geom, rng)
     data = linearize(zn, p)
     solution, _ = cg_solve(data, p, CgParams())
-    z1 = PhaseField(geom, solution.values)
+    z1 = PhaseField(geom, solution)
     e_ref = 1.0 + abs(surrogate_energy(z1, zn, p))
     for _ in range(10):
         u = random_phase(geom, rng, lo=-1.0, hi=1.0)

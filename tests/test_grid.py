@@ -32,6 +32,21 @@ def test_fields_are_read_only():
         f.values[0, 0] = 1.0
 
 
+def test_field_array_protocol_gives_read_only_values_or_copies():
+    # numpy 2's __array__(dtype, copy): a signature without copy would warn,
+    # which the suite's warning filter turns into a failure
+    f = GridField(GridGeometry(5, 4), np.arange(20.0).reshape(4, 5))
+    view = np.asarray(f)
+    assert np.shares_memory(view, f.values) and not view.flags.writeable
+    copy = np.array(f)
+    assert not np.shares_memory(copy, f.values) and copy.flags.writeable
+    assert np.array_equal(copy, f.values)
+    single = np.asarray(f, dtype=np.float32)
+    assert single.dtype == np.float32 and np.array_equal(single, f.values)
+    with pytest.raises(ValueError):
+        np.array(f, dtype=np.float32, copy=False)
+
+
 def test_gradient_of_constant_is_zero():
     geom = GridGeometry(9, 7)
     g = gradient_magnitude(GridField.full(geom, 3.25))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -17,9 +18,12 @@ from illushape import (
     SolverConfig,
     StartSubspace,
     default_model,
+    energy_drop_bound,
+    euler_lagrange_residual,
     extract_shape,
     null_hypothesis,
     presmooth,
+    rms_diff,
     run,
     step,
     total_energy,
@@ -322,6 +326,47 @@ def test_run_workspace_retries_like_the_reference(monkeypatch):
     projected.clear()
     _assert_same_run(got, reference_run(cfg))
     assert [s.iter for s in got[1].steps if s.retried] == [6]
+
+
+def test_kernels_take_arrays_or_fields_alike(small_setup):
+    # one calling convention: a kernel takes a field where it takes a grid array
+    # and returns grid arrays, the same bits with or without a workspace
+    mask, cfg = small_setup
+    p = cfg.model
+    z, w = null_hypothesis(mask), random_phase(mask.geometry, np.random.default_rng(71))
+
+    def kept(x):
+        # a plain array, copied as it comes, before a workspace reuses it
+        assert type(x) is np.ndarray
+        return x.copy()
+
+    def results(a, b, work):
+        data = elliptic.linearize(a, p, work=work)
+        arrays = [kept(data.g_n), kept(data.f_n), kept(elliptic.apply_operator(a, data, p, work=work))]
+        arrays += [kept(elliptic.cg_solve(data, p, cfg.cg, warm_start=x0, work=work)[0]) for x0 in (None, b)]
+        scalars = [
+            total_energy(a, p, work=work),
+            energy_drop_bound(a, b, p, work=work),
+            rms_diff(a, b, work=work),
+            euler_lagrange_residual(a, p, work=work),
+        ]
+        return [np.array(x, dtype=float).view(np.uint64) for x in (*arrays, *scalars)]
+
+    want = results(z, w, None)
+    for (a, b), work in itertools.product(((z, w), (z.values, w.values), (z, w.values)), (None, 1)):
+        got = results(a, b, None if work is None else elliptic.Workspace(p))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    # the benchmark's matvec: linearize, then apply_operator, on the null hypothesis field
+    data = elliptic.linearize(z, p)
+    bench = elliptic.apply_operator(z, data, p)
+    assert np.array_equal(bench.view(np.uint64), elliptic.apply_operator(z.values, data, p).view(np.uint64))
+
+    # the best iterate of a failed solve is a copy, not the workspace's array
+    work = elliptic.Workspace(p)
+    with pytest.raises(elliptic.CgConvergenceError) as err:
+        elliptic.cg_solve(data, p, CgParams(max_iters=1), work=work)
+    assert type(err.value.best) is np.ndarray and not np.shares_memory(err.value.best, work.z_next)
 
 
 def test_run_rejects_a_non_finite_iterate(small_setup, monkeypatch):
