@@ -157,11 +157,12 @@ class Operator:
     on odd rows only), k + 1 (its east neighbour, on even rows only), k - w
     and k + w, with w = ceil(W/2).  Each such
     coupling is stored once, indexed by the lower compact index of its two
-    cells like the flat faces: ``c_same`` (black k, red k), ``c_rb`` (red
-    k, black k + 1), ``c_br`` (black k, red k + 1), ``c_rbw`` (red k,
-    black k + w) and ``c_brw`` (black k, red k + w).  Every coupling that
-    touches the rim or a pad is zero, so rim and pad entries of a compact
-    argument never reach an interior one.
+    cells like the flat faces: ``c_same`` (black k, red k), and ``links``,
+    the other four as (coupling, black offset, red offset), whose entry i
+    couples black cell i + its black offset to red cell i + its red offset:
+    red k - 1, k + 1, k - w (north) and k + w (south) of black cell k.
+    Every coupling that touches the rim or a pad is zero, so rim and pad
+    entries of a compact argument never reach an interior one.
     """
 
     def __init__(self, p: ModelParams):
@@ -191,14 +192,8 @@ class Operator:
         cw[0::2] = 0.0  # red k - 1 is west on odd rows only
         ce[1::2] = 0.0  # red k + 1 is east on even rows only
         self.c_same = same.ravel()
-        self.c_rb = cw.ravel()[1:]
-        self.c_br = ce.ravel()[:-1]
-        self.c_rbw = cn.ravel()[w:]
-        self.c_brw = cs.ravel()[:-w]
-        # the other four as (coupling, black offset, red offset): entry i couples
-        # black cell i + its black offset to red cell i + its red offset, that is
-        # red k - 1, k + 1, k - w (north) and k + w (south) of black cell k
-        self.links = ((self.c_rb, 1, 0), (self.c_br, 0, 1), (self.c_rbw, w, 0), (self.c_brw, 0, w))
+        offsets = ((cw, 1, 0), (ce, 0, 1), (cn, w, 0), (cs, 0, w))
+        self.links = tuple((c.ravel()[b : c.size - r], b, r) for c, b, r in offsets)
 
     def apply(
         self, z: np.ndarray, g: np.ndarray | None, out: np.ndarray, face: np.ndarray
@@ -278,13 +273,9 @@ class Operator:
             calls += [(np.multiply, c[i:j], x[i + source : j + source], t), (np.add, o, t, o)]
         return calls
 
-    def to_black(self, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """``out = N_br y``: each black cell's couplings times its red neighbours' ``y``."""
-        _run(self.couple(y, out, tmp, BLACK, 0, len(out)))
-
-    def to_red(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """``out = N_rb x``, the transpose of ``to_black``."""
-        _run(self.couple(x, out, tmp, RED, 0, len(out)))
+    def neighbour_sum(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray, colour: int) -> None:
+        """``out = N x`` over all of ``out``: N_br for ``BLACK``, N_rb for ``RED``."""
+        _run(self.couple(x, out, tmp, colour, 0, len(out)))
 
     def schur_plan(
         self, d: np.ndarray, out: np.ndarray, u: np.ndarray, tmp: np.ndarray, drinv: np.ndarray, d_black: np.ndarray
@@ -318,7 +309,7 @@ class Operator:
         """``out`` = the diagonal of D_b - N_br D_r^-1 N_rb, given D_b and D_r^-1.
 
         Each black cell's ``d_black`` less c^2 / D_r over its red neighbours,
-        summed in ``to_black``'s order; ``tmp`` is scratch.
+        summed in N_br's order (``couple``); ``tmp`` is scratch.
         """
         np.multiply(self.c_same, self.c_same, out=out)
         out *= drinv
@@ -437,11 +428,12 @@ class Workspace:
     all that is 8.5 grid arrays on even widths (4 + 4.5 (W + 1) / W on odd
     ones), in two allocations, and every array starts on a 64-byte
     boundary (``_aligned_rows``).  The scratch aliases by phase:
-    ``cg_solve`` keeps its residual, A x and face scratch in ``grids[0:3]``
-    and its iterate in ``z_next`` while it works in the full space, and its
-    nine compact arrays, six of them over those three dead grid arrays, in
-    the reduced loop; ``linearize``, ``total_energy``,
-    ``energy_drop_bound``, ``grid.rms_diff``, ``apply_operator`` and
+    ``cg_solve`` keeps its residual, A x and face scratch in ``grids[0:3]``,
+    the projected start's A s in ``grids[3]`` and its iterate in ``z_next``
+    while it works in the full space, and its nine compact arrays, eight of
+    them over those four dead grid arrays, in the reduced loop;
+    ``linearize``, ``total_energy``, ``energy_drop_bound``,
+    ``grid.rms_diff``, ``apply_operator`` and
     ``solver.euler_lagrange_residual`` take their temporaries from
     ``grids`` before or after the solve, the last also ``z_next``.
     ``schur`` holds ``cg_solve``'s plan of the product S d over ``compact``
@@ -570,58 +562,45 @@ def cg_solve(
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     x = out.ravel()
-    x0 = 0.0 if warm_start is None else warm_start.ravel()
-
-    def start(step=None) -> None:
-        """x = x0, the warm start or zero, plus ``step`` if given, with its rim zeroed."""
-        if step is None:
-            np.copyto(x, x0)
-        else:
-            np.add(x0, step, out=x)
-        zero_rim(out)
-
-    start()
+    np.copyto(out, 0.0 if warm_start is None else warm_start)
+    zero_rim(out)
     op.apply(x, g, ad, face)
     r -= ad
     rank, full = 0, 1
     if subspace is not None and subspace.count:
-        rows = subspace.rows
         theta, rank, applied = subspace.galerkin(op, g, r, ad, face)
         full += applied
         if rank:
-            # the step s = D theta in ad, and A s in x until x0 + s replaces it
-            np.einsum("j,jn->n", theta, rows, out=ad)
-            op.apply(ad, g, x, face)
+            # the step s = D theta in ad, A s in grids[3], free until D_b and D_r^-1
+            a_s = work.grids[3].ravel()
+            np.einsum("j,jn->n", theta, subspace.rows, out=ad)
+            op.apply(ad, g, a_s, face)
             full += 1
-            if 0.5 * _dot(ad, x) < _dot(ad, r):  # s lowers the quadratic
-                r -= x
-                start(ad)
+            if 0.5 * _dot(ad, a_s) < _dot(ad, r):  # s lowers the quadratic
+                r -= a_s
+                x += ad
             else:
-                start()
                 rank = 0
     tol = cg.rel_tol * f_norm
     r_norm = math.sqrt(_dot(r, r))
     if r_norm <= tol:
         return out, StepRecord(cg_residual=r_norm / f_norm, start_rank=rank, full_applications=full)
 
-    # nine compact arrays, c[0:6] over r, ad and face, each taken once its
-    # full array is split or dead
-    c = work.compact
+    # the nine compact arrays: xb and q over r, rb and u over ad, zb and minv
+    # over face, D_b and D_r^-1 over A s, and db; each pair is taken once its
+    # grid array is split or dead
+    xb, q, rb, u, zb, minv, db_diag, drinv, db = work.compact
     op.diagonal(g, out=ad)
     diag = zero_rim(ad_grid)
-    db_diag, drinv = c[6], c[7]
     op.split(diag, BLACK, out=db_diag)
     op.split(diag, RED, out=drinv)
     np.divide(1.0, drinv, out=drinv, where=drinv > 0.0)  # rim and pad entries stay 0
-    rb, u = c[2], c[3]  # over ad, whose diagonal is split
-    op.split(r_grid, BLACK, out=rb)
+    op.split(r_grid, BLACK, out=rb)  # over ad, whose diagonal is split
     op.split(r_grid, RED, out=u)
-    xb = c[0]  # over r, split above
-    op.split(out, BLACK, out=xb)
-    q, zb, minv, db = c[1], c[4], c[5], c[8]
+    op.split(out, BLACK, out=xb)  # over r, split above
     # the start's reduced residual r_b + N_br D_r^-1 r_r = f_b + N_br D_r^-1 f_r - S x_b
     u *= drinv
-    op.to_black(u, q, zb)
+    op.neighbour_sum(u, q, zb, BLACK)
     rb += q
     op.reduced_diagonal(db_diag, drinv, q, zb)
     minv.fill(0.0)
@@ -663,7 +642,7 @@ def cg_solve(
             db += zb
             rz = rz_next
     # back-substitute x_r = D_r^-1 (f_r + N_rb x_b), f_r over q
-    op.to_red(xb, u, zb)
+    op.neighbour_sum(xb, u, zb, RED)
     op.split(data.f_n, RED, out=q)
     u += q
     u *= drinv

@@ -207,5 +207,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         data.pop("elapsed_seconds")
         summaries.append(data)
     assert summaries[0] == summaries[1]
+    for image_name in ("final_phase.pgm", "shape.pgm"):
+        assert (outs[0] / image_name).read_bytes() == (outs[1] / image_name).read_bytes()
     print(f"criterion 10 PASS: two CLI runs byte-identical "
-          f"({len(csv_a)} bytes of energy.csv; summaries match minus wall time)")
+          f"({len(csv_a)} bytes of energy.csv, both PGMs; summaries match minus wall time)")

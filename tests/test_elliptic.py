@@ -202,9 +202,9 @@ def test_banded_schur_product_matches_the_whole_array_chain():
     elliptic._run(plan)
 
     want, red, scratch = np.empty(m), np.empty(m), np.empty(m)
-    op.to_red(d, red, scratch)
+    op.neighbour_sum(d, red, scratch, elliptic.RED)
     red *= drinv
-    op.to_black(red, want, scratch)
+    op.neighbour_sum(red, want, scratch, elliptic.BLACK)
     np.subtract(d_black * d, want, out=want)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
@@ -343,11 +343,16 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     # so does a start elsewhere from a subspace that contains the solution
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     other = zero_rim_field(geom, rng).values
-    space = subspace_of([other, exact - warm.values, other + exact - warm.values])
-    solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=warm, subspace=space)
+    columns = [other, exact - warm.values, other + exact - warm.values]
+    solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=warm, subspace=subspace_of(columns))
     assert stats.cg_iters == 0
     assert stats.start_rank == 2
     assert np.abs(solution - exact).max() <= 1e-9
+    # the accepted start, bit for bit: the rim-zeroed warm start plus D theta
+    twin = subspace_of(columns)
+    theta, _, _ = galerkin_start(data, p, warm, twin)
+    want = zero_rim(warm.values.copy()).ravel() + np.einsum("j,jn->n", theta, twin.rows)
+    assert np.array_equal(solution.ravel().view(np.uint64), want.view(np.uint64))
 
 
 def test_projected_start_is_the_galerkin_minimizer():

@@ -340,10 +340,21 @@ def test_kernels_take_arrays_or_fields_alike(small_setup):
         assert type(x) is np.ndarray
         return x.copy()
 
+    def ring():
+        space = elliptic.StartSubspace(6)
+        space.push(w.values, z.values)
+        space.push(np.square(w.values), w.values)
+        return space
+
     def results(a, b, work):
         data = elliptic.linearize(a, p, work=work)
         arrays = [kept(data.g_n), kept(data.f_n), kept(elliptic.apply_operator(a, data, p, work=work))]
         arrays += [kept(elliptic.cg_solve(data, p, cfg.cg, warm_start=x0, work=work)[0]) for x0 in (None, b)]
+        # a projected start, on a reused workspace whose fourth grid array still
+        # holds the D_b and D_r^-1 of the solves above
+        solution, record = elliptic.cg_solve(data, p, cfg.cg, warm_start=b, subspace=ring(), work=work)
+        assert record.start_rank > 0
+        arrays.append(kept(solution))
         scalars = [
             total_energy(a, p, work=work),
             energy_drop_bound(a, b, p, work=work),
