@@ -206,20 +206,11 @@ def save_field_image(f: GridField, path) -> None:
     write_pgm(path, q)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with the input-error code."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 _G_KINDS = {"exp": "exp_square", "rational": "rational"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="illushape", description="Compute illusory shapes from a binary inducer image.")
+    parser = argparse.ArgumentParser(prog="illushape", description="Compute illusory shapes from a binary inducer image.")
     parser.add_argument("--input", required=True, help="inducer image (8-bit PGM, P2 or P5)")
     parser.add_argument("--out-dir", required=True, help="output directory (created if missing)")
     parser.add_argument("--alpha", type=float, default=0.1, help="canyon floor")
@@ -256,8 +247,8 @@ def run_command(argv=None) -> int:
     3 when the run's audit finds an energy rise or a step short of its drop bound."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse's usage error (status 2) is a bad input; --help is 0
+        return 1 if exc.code else 0
 
     try:
         mask = load_mask(args.input, invert=args.invert, bin_threshold=args.bin_threshold)

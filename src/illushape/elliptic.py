@@ -84,13 +84,13 @@ class StepRecord:
     number of subspace directions the projected start kept (0 when none ran
     or it was rejected), and ``full_applications`` and
     ``reduced_applications``, its applications of the full operator A (and
-    of its diffusion part L) and of the reduced operator S.  ``solver.step``
-    sets the pre-clamp range and ``retried``, 1 when the step solved again
-    from z_n because the projected start's solve left the range limit; the
-    three work counts then add up both solves, every other field describes
-    the solve that was kept.  ``solver.run`` sets the rest.  ``rho`` and
-    ``drop_bound`` compare this iterate with its successor, so they stay NaN
-    on the final record.
+    of its diffusion part L) and of the reduced operator S.
+    ``solver._advance``, the step of both ``step`` and ``run``, sets the
+    pre-clamp range and ``retried``, 1 when a projected start's solve left
+    the range limit and the step solved again from z_n; the three work
+    counts then add up both solves, every other field describes the solve
+    that was kept.  ``run`` sets the rest.  ``rho`` and ``drop_bound``
+    compare this iterate with its successor: NaN on the final record.
     """
 
     iter: int = 0
@@ -142,7 +142,8 @@ class Operator:
 
     Fields are handled flattened row-major: cell k couples to cell k + 1
     through x-face k and to cell k + W through y-face k, so the x-faces have
-    N - 1 entries and the y-faces N - W.  The x-face entries at k = W - 1
+    N - 1 entries and the y-faces N - W; ``faces`` pairs them with their
+    strides, ((x-faces, 1), (y-faces, W)).  The x-face entries at k = W - 1
     (mod W) wrap from the last cell of one row to the first of the next;
     both are rim cells, the coefficient there is zero, and the rim of every
     argument is zero anyway.  Built once per model, on its first use, from
@@ -168,13 +169,11 @@ class Operator:
     def __init__(self, p: ModelParams):
         geom = p.geometry
         self.shape = geom.shape
-        self.width = geom.width
         scale = (p.epsilon / geom.h) ** 2
         gx, gy = face_means(p.canyon.values)
         cx = np.zeros(geom.cells)
         np.multiply(gx, scale, out=cx.reshape(geom.shape)[:, :-1])
-        self.cx = cx[:-1]
-        self.cy = (gy * scale).ravel()
+        self.faces = ((cx[:-1], 1), ((gy * scale).ravel(), geom.width))
 
         self.half = w = (geom.width + 1) // 2
         # faces between two interior cells, each at the cell east or south of it,
@@ -205,21 +204,16 @@ class Operator:
         form, so the two agree bit for bit.  Without a reaction coefficient
         ``g`` this is the diffusion part L alone.
         """
-        w = self.width
         if g is None:
             out.fill(0.0)
         else:
             np.multiply(g, z, out=out)
-        fx = face
-        np.subtract(z[1:], z[:-1], out=fx)
-        fx *= self.cx
-        out[:-1] -= fx
-        out[1:] += fx
-        fy = face[: len(self.cy)]
-        np.subtract(z[w:], z[:-w], out=fy)
-        fy *= self.cy
-        out[:-w] -= fy
-        out[w:] += fy
+        for c, s in self.faces:
+            flux = face[: len(c)]
+            np.subtract(z[s:], z[:-s], out=flux)
+            flux *= c
+            out[:-s] -= flux
+            out[s:] += flux
         zero_rim(out.reshape(self.shape))
 
     def diagonal(self, g: np.ndarray, out: np.ndarray) -> None:
@@ -228,12 +222,10 @@ class Operator:
         Every cell, rim included, has faces with positive coefficients, so
         the diagonal is positive wherever ``g`` is nonnegative.
         """
-        w = self.width
         np.copyto(out, g)
-        out[:-1] += self.cx
-        out[1:] += self.cx
-        out[:-w] += self.cy
-        out[w:] += self.cy
+        for c, s in self.faces:
+            out[:-s] += c
+            out[s:] += c
 
     def split(self, a: np.ndarray, colour: int, out: np.ndarray | None = None) -> np.ndarray:
         """The ``colour`` (``RED`` or ``BLACK``) cells of grid array ``a``, as a
@@ -329,8 +321,9 @@ class StartSubspace:
     that a push overwrites the row that ``galerkin`` chose at the last
     start: the row that weighs most in a near-null direction of the
     Galerkin matrix when it has one, otherwise the row, never the newest,
-    that carried the least of the start.  A push with no choice pending, because no
-    start came after the last push, overwrites rows first in, first out.
+    that carried the least of the start.  A push with no choice pending
+    writes the row after the newest: row ``count`` while the ring fills, and
+    in ``run`` on a full ring only after a zero right-hand side.
     The inner operator is A_n = L + diag(g_n), and L, the model's diffusion
     part, is the same at every step, so the Gram d_i'L d_j is kept here: a
     new difference costs one application of L, on the next solve, and only
@@ -343,7 +336,6 @@ class StartSubspace:
         self.size = size
         self.diffs: np.ndarray | None = None
         self.count = 0
-        self.head = 0  # the row the next push writes without a choice
         self.newest = -1  # the row the last push wrote
         self.evict: int | None = None  # the row the next push writes, chosen by galerkin
         self.l_gram = np.zeros((size, size))
@@ -358,13 +350,11 @@ class StartSubspace:
         """Enter ``new - old`` for a grid array ``new`` (the rim is zeroed)."""
         if self.diffs is None:
             self.diffs = np.empty((self.size, new.size))
-        slot = self.head if self.evict is None else self.evict
+        slot = (self.newest + 1) % self.size if self.evict is None else self.evict
         row = self.diffs[slot].reshape(new.shape)  # raises on another grid size
         zero_rim(np.subtract(new, old, out=row))
         if slot not in self.stale:
             self.stale.append(slot)
-        if slot == self.head:
-            self.head = (self.head + 1) % self.size
         self.newest, self.evict = slot, None
         self.count = min(self.count + 1, self.size)
 

@@ -47,9 +47,7 @@ class GridGeometry:
 
 def _read_only_copy(values, geometry: GridGeometry, dtype) -> np.ndarray:
     """A read-only copy of ``values`` as ``dtype``, checked against the grid shape."""
-    a = np.array(values, dtype=dtype)
-    if a.shape != geometry.shape:
-        raise ValueError(f"array shape {a.shape} does not match grid shape {geometry.shape}")
+    a = _grid_array(np.array(values, dtype=dtype), geometry.shape)
     a.setflags(write=False)
     return a
 

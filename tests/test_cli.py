@@ -241,6 +241,29 @@ def test_run_command_rejects_bad_flags(tmp_path):
     assert not out.exists()
 
 
+def test_run_command_usage_contract(tmp_path, capsys):
+    # --help prints the usage on stdout and exits 0; a usage error prints
+    # argparse's usage line and one error line on stderr and exits 1
+    assert run_command(["--help"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out.startswith("usage: illushape ") and "--input INPUT" in printed.out
+    assert printed.err == ""
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(48, 48)))
+    out = tmp_path / "out"
+    for argv, message in (
+        (["--input", str(path), "--out-dir", str(out), "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["--out-dir", str(out)], "the following arguments are required: --input"),
+    ):
+        assert run_command(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        lines = printed.err.splitlines()
+        assert lines[0].startswith("usage: illushape ")
+        assert lines[-1] == f"illushape: error: {message}"
+        assert not out.exists()
+
+
 def test_run_command_unwritable_out_dir(tmp_path):
     img = tmp_path / "kanizsa.pgm"
     write_pgm(img, mask_to_pixels(kanizsa_triangle(48, 48)))

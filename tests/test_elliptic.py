@@ -28,6 +28,7 @@ from helpers import (
     face_coefficients,
     first_variation,
     flux_apply,
+    flux_diagonal,
     flat_model,
     random_instance,
     random_model,
@@ -96,15 +97,26 @@ def test_operator_on_zero_field():
 
 
 def test_flat_kernel_matches_flux_form_bitwise():
+    # A, its diffusion part L (no reaction coefficient) and its diagonal
+    def same_bits(a, b):
+        return np.array_equal(a.ravel().view(np.uint64), b.ravel().view(np.uint64))
+
     rng = np.random.default_rng(47)
     for geom in (GridGeometry(4, 3), GridGeometry(12, 9), GridGeometry(7, 16), GridGeometry(33, 31)):
+        n = geom.cells
         for _ in range(10):
             data, p = random_instance(geom, rng)
             z = zero_rim_field(geom, rng)
             cx, cy = face_coefficients(p)
             expected = flux_apply(z.values, cx, cy, data.g_n)
             got = apply_operator(z, data, p)
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert same_bits(got, expected)
+            diffusion = np.empty(n)
+            p.operator.apply(z.values.ravel(), None, diffusion, np.empty(n - 1))
+            assert same_bits(diffusion, flux_apply(z.values, cx, cy, np.zeros(geom.shape)))
+            diagonal = np.empty(n)
+            p.operator.diagonal(data.g_n.ravel(), diagonal)
+            assert same_bits(diagonal, flux_diagonal(cx, cy, data.g_n))
 
 
 def test_operator_built_once_per_model(monkeypatch):
@@ -303,6 +315,20 @@ def test_cg_zero_rhs_short_circuits():
     assert np.all(solution == 0.0)
     assert stats.cg_iters == 0
     assert stats.cg_residual == 0.0
+    # on a full ring, as in a run: a start chose a row, a push wrote it, and the
+    # zero right-hand side leaves the ring untouched, so the next push, with no
+    # choice pending, writes the row after the newest
+    space = subspace_of([zero_rim_field(geom, rng).values for _ in range(4)])
+    cg_solve(data, p, subspace=space)
+    chosen = space.evict
+    space.push(zero_rim_field(geom, rng).values, 0.0)
+    assert space.newest == chosen and space.evict is None and space.stale == [chosen]
+    solution, stats = cg_solve(zero_data, p, subspace=space)
+    assert np.all(solution == 0.0)
+    assert stats.full_applications == stats.reduced_applications == stats.start_rank == 0
+    assert space.evict is None and space.stale == [chosen]
+    space.push(zero_rim_field(geom, rng).values, 0.0)
+    assert space.newest == (chosen + 1) % 4
 
 
 def test_cg_matches_dense_oracle():
@@ -470,16 +496,17 @@ def test_full_ring_replaces_its_least_used_row_never_the_newest():
     assert used[5] < 1e-6 * used[:5].min()
     assert space.evict == int(np.argmin(used[:5])) == 3
     space.push(zero_rim_field(geom, rng).values, 0.0)
-    assert space.newest == 3 and space.head == 0
+    assert space.newest == 3 and space.evict is None
     # the next start may not pick the row just written, however little it carries
     galerkin_start(data, p, warm, space)
     assert space.evict not in (None, 3)
 
 
 def test_ring_stays_first_in_first_out_without_a_choice():
-    # a ring still filling chooses nothing, and a full ring pushed to twice
-    # without a start between takes the second push first in, first out
-    rng = np.random.default_rng(101)
+    # a ring still filling chooses nothing and fills its rows in order, and a
+    # push with no choice pending writes the row after the newest: on a full
+    # ring pushed to twice without a start between, the row after the chosen one
+    rng = np.random.default_rng(104)
     geom = GridGeometry(9, 8)
     data, p = random_instance(geom, rng)
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
@@ -495,8 +522,9 @@ def test_ring_stays_first_in_first_out_without_a_choice():
     assert [n for n, c in enumerate(chosen) if c is not None] == [5]
     assert written[:5] == [0, 1, 2, 3, 0]
     assert written[5] == choice != 0
-    # the FIFO head moves on from 1 after a push that chose it
-    assert written[6:] == ([2, 3] if choice == 1 else [1, 2])
+    # a pointer advanced by every push that did not choose would write row 1 next
+    assert choice > 1
+    assert written[6:] == [(choice + 1) % 4, (choice + 2) % 4]
 
 
 def test_rank_deficient_subspaces_start_no_worse():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from illushape import GridField, GridGeometry, gradient_magnitude, rms_diff
+from illushape.grid import GridMask
 
 
 def test_spacing_is_inverse_longest_side():
@@ -18,8 +19,10 @@ def test_rejects_degenerate_grids():
 
 def test_field_shape_and_finiteness_checks():
     geom = GridGeometry(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different grids"):
         GridField(geom, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="different grids"):
+        GridMask(geom, np.zeros((3, 3), dtype=bool))
     bad = np.zeros(geom.shape)
     bad[1, 1] = np.nan
     with pytest.raises(ValueError):

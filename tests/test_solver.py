@@ -148,14 +148,16 @@ from illushape import SolverConfig, StartSubspace, default_model, run
 from illushape.fixtures import kanizsa_triangle
 push, slots = StartSubspace.push, []
 def logged_push(self, new, old):
-    slots.append((self.evict, self.head))
+    slots.append((self.evict, self.newest))
     push(self, new, old)
 StartSubspace.push = logged_push
 mask = kanizsa_triangle(128, 128)
 z, report = run(SolverConfig(model=default_model(mask), max_outer=110))
 assert len(report.steps) == 110 and report.steps[-1].start_rank > 0
-# a full ring first overwrites a row other than its FIFO head at step 103
-assert any(evict not in (None, head) for evict, head in slots[:-1])
+# every push on the full ring follows a start that chose its row, and the
+# first choice other than the row after the newest comes at step 103
+assert all(evict is not None for evict, _ in slots[6:])
+assert any(evict not in (None, (newest + 1) % 6) for evict, newest in slots[:-1])
 print(hashlib.sha256(z.values.tobytes()).hexdigest(), slots)
 """
 
