@@ -44,7 +44,6 @@ from .solver import (
     null_hypothesis,
     presmooth,
     run,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -86,6 +85,5 @@ __all__ = [
     "presmooth",
     "rms_diff",
     "run",
-    "step",
     "total_energy",
 ]

@@ -92,8 +92,9 @@ class CanyonField(GridField):
             raise ValueError("canyon values leave [alpha, alpha + beta]")
 
 
-def mollify(mask: ConfigurationMask, sigma: float) -> GridField:
-    """Heat-smooth the 0/1 indicator up to total diffusion time sigma^2 / 2.
+def mollify(mask: ConfigurationMask, sigma: float) -> np.ndarray:
+    """The 0/1 indicator heat-smoothed up to total diffusion time sigma^2 / 2,
+    as a grid array.
 
     Explicit stepping with zero-flux walls; the step size stays at or below
     h^2/4 so every update is a convex combination and the output remains in
@@ -113,7 +114,7 @@ def mollify(mask: ConfigurationMask, sigma: float) -> GridField:
         for _ in range(n_steps):
             u = heat_step(u, r, "edge")
         u = np.clip(u, 0.0, 1.0)
-    return GridField(geom, u)
+    return u
 
 
 def edge_response(p, g_kind: str = "exp_square"):
@@ -141,8 +142,7 @@ def build_canyon(mask: ConfigurationMask, params: CanyonParams) -> CanyonField:
         raise NoBoundaryError("no configuration boundary")
     if params.sigma < mask.geometry.h:
         raise ValueError("sigma must be at least one grid spacing")
-    smooth = mollify(mask, params.sigma)
-    strength = gradient_magnitude(smooth).values
+    strength = gradient_magnitude(mollify(mask, params.sigma), mask.geometry.h)
     peak = float(strength.max())
     if peak <= 0.0:
         raise NoBoundaryError("no configuration boundary")

@@ -280,6 +280,7 @@ def run_command(argv=None) -> int:
         return 1
 
     out_dir = Path(args.out_dir)
+    made = not out_dir.exists()  # a solver failure removes the directory it made, while empty
     cg_iters = 0
 
     def step_sink(record, field: PhaseField) -> None:
@@ -353,6 +354,8 @@ def run_command(argv=None) -> int:
             fh.write("\n")
     except (CgConvergenceError, RangePreservationError, FloatingPointError) as exc:
         print(f"illushape: solver failure: {exc}", file=sys.stderr)
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
         return 1
     except OSError as exc:
         print(f"illushape: {exc}", file=sys.stderr)

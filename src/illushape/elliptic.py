@@ -85,11 +85,11 @@ class StepRecord:
     or it was rejected), and ``full_applications`` and
     ``reduced_applications``, its applications of the full operator A (and
     of its diffusion part L) and of the reduced operator S.
-    ``solver._advance``, the step of both ``step`` and ``run``, sets the
-    pre-clamp range and ``retried``, 1 when a projected start's solve left
-    the range limit and the step solved again from z_n; the three work
-    counts then add up both solves, every other field describes the solve
-    that was kept.  ``run`` sets the rest.  ``rho`` and ``drop_bound``
+    ``solver.run``'s step sets the pre-clamp range and ``retried``, 1
+    when a projected start's solve left the range limit and the step
+    solved again from z_n; the three work counts then add up both solves,
+    every other field describes the solve that was kept.  ``run`` then
+    sets the rest.  ``rho`` and ``drop_bound``
     compare this iterate with its successor: NaN on the final record.
     """
 

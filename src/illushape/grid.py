@@ -122,10 +122,11 @@ def require_same_geometry(a, b) -> None:
         raise ValueError(f"{type(a).__name__} and {type(b).__name__} live on different grids")
 
 
-def gradient_magnitude(f: GridField) -> GridField:
-    """Cellwise gradient magnitude: central differences inside, one-sided on the rim."""
-    gy, gx = np.gradient(f.values, f.geometry.h, edge_order=1)
-    return GridField(f.geometry, np.hypot(gx, gy))
+def gradient_magnitude(values: np.ndarray, h: float) -> np.ndarray:
+    """Cellwise gradient magnitude of a grid array with spacing ``h``: central
+    differences inside, one-sided on the rim."""
+    gy, gx = np.gradient(values, h, edge_order=1)
+    return np.hypot(gx, gy)
 
 
 def rms_diff(a: np.ndarray, b: np.ndarray, work=None) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "default_model",
     "null_hypothesis",
     "presmooth",
-    "step",
     "run",
     "euler_lagrange_residual",
 ]
@@ -155,58 +154,6 @@ def presmooth(z0: PhaseField, steps: int) -> PhaseField:
     return PhaseField(z0.geometry, u)
 
 
-def step(
-    z_n: PhaseField, cfg: SolverConfig, subspace: StartSubspace | None = None
-) -> tuple[PhaseField, StepRecord]:
-    """One outer update: linearize at z_n, solve, clamp to [0, 1].
-
-    ``subspace`` is passed to ``cg_solve``: the inner solve then starts from
-    the best point of z_n + span(subspace) in the inner operator's norm.
-
-    The exact inner solution of an iterate in [0, 1] stays in [0, 1]; the
-    finite solver tolerance may overshoot by a sliver, which is clamped.  An
-    excursion beyond 10x the inner tolerance is treated as a defect and
-    raises instead of being silently clamped away.  A solve from a projected
-    start can leave that limit where the plain start from z_n does not, so
-    such a solve is first repeated on the same linearization from z_n, and
-    the step raises only if that solve leaves the limit too.
-
-    The step runs on a new ``Workspace``, as ``run``'s steps run on the
-    run's.
-    """
-    require_same_geometry(z_n, cfg.model)
-    work = Workspace(cfg.model)
-    np.copyto(work.z, z_n.values)
-    record = _advance(cfg, subspace, work)
-    return PhaseField(z_n.geometry, work.z_next), record
-
-
-def _advance(cfg: SolverConfig, subspace: StartSubspace | None, work: Workspace) -> StepRecord:
-    """``step`` from the iterate in ``work.z`` to its successor in ``work.z_next``."""
-    z = work.z
-    data = linearize(z, cfg.model, work=work)
-    solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, subspace=subspace, work=work)
-    pre_min, pre_max = float(solution.min()), float(solution.max())
-    checked = 0.0 <= float(z.min()) and float(z.max()) <= 1.0
-    limit = 10.0 * cfg.cg.rel_tol
-    if checked and record.start_rank > 0 and max(-pre_min, pre_max - 1.0) > limit:
-        spent = record
-        solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, work=work)
-        pre_min, pre_max = float(solution.min()), float(solution.max())
-        record.retried = 1
-        record.cg_iters += spent.cg_iters
-        record.full_applications += spent.full_applications
-        record.reduced_applications += spent.reduced_applications
-    excursion = max(-pre_min, pre_max - 1.0, 0.0)
-    if checked and excursion > limit:
-        raise RangePreservationError(
-            f"pre-clamp excursion {excursion:.3e} exceeds 10 * rel_tol = {limit:.3e}"
-        )
-    record.pre_clamp_min, record.pre_clamp_max = pre_min, pre_max
-    np.clip(solution, 0.0, 1.0, out=work.z_next)
-    return record
-
-
 def euler_lagrange_residual(z: np.ndarray, p: ModelParams, work: Workspace | None = None) -> float:
     """Interior RMS residual of the nonlinear stationarity equation at the
     grid array z.
@@ -233,8 +180,9 @@ def run(
     """Iterate until the RMS update drops below delta or the budget runs out.
 
     The run starts from ``initial``, or from the null hypothesis of the
-    model's mask when it is None.  ``step_sink``, when given, is called as
-    ``step_sink(record, field)`` after every step, with the step's record
+    model's mask when it is None; one step from z is ``run`` with
+    ``max_outer=1`` and ``initial=z``.  ``step_sink``, when given, is called
+    as ``step_sink(record, field)`` after every step, with the step's record
     (its energy and update set) and a read-only copy of the new iterate.
     Returns the final iterate and the per-step report, including the
     nonlinear stationarity residual of the final iterate.
@@ -245,12 +193,17 @@ def run(
     non-finite entry, which only a NaN can be after the clamp to [0, 1],
     makes the step's energy NaN and raises ``ValueError``.
 
-    Each inner solve after the first starts from a projection: a ring of
-    up to ``START_DIRECTIONS`` recent iterate differences
-    (``StartSubspace``) spans a subspace, and ``cg_solve`` starts from the
-    best point of z_n plus that span; ``step`` falls back to z_n when that
-    solve leaves the range limit.  The ring is released before the final
-    residual and field.
+    A step linearizes at z_n, solves the inner problem and clamps its
+    solution to [0, 1].  Each solve after the first starts from a
+    projection: a ring of up to ``START_DIRECTIONS`` recent iterate
+    differences (``StartSubspace``) spans a subspace, and ``cg_solve``
+    starts from the best point of z_n plus that span.  The exact inner
+    solution of an iterate in [0, 1] stays in [0, 1], so from such an
+    iterate a pre-clamp excursion beyond 10x the inner tolerance is a
+    defect and raises ``RangePreservationError``; but a solve from a
+    projected start that leaves the limit is first repeated from z_n on the
+    same linearization.  The ring is released before the final residual
+    and field.
     """
     z0 = initial if initial is not None else null_hypothesis(cfg.model.mask)
     require_same_geometry(z0, cfg.model)
@@ -261,9 +214,28 @@ def run(
 
     ring = StartSubspace(START_DIRECTIONS)
     report = IterationReport()
+    limit = 10.0 * cfg.cg.rel_tol
     for n in range(1, cfg.max_outer + 1):
-        record = _advance(cfg, ring, work)
         z, z_next = work.z, work.z_next
+        data = linearize(z, cfg.model, work=work)
+        solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, subspace=ring, work=work)
+        pre_min, pre_max = float(solution.min()), float(solution.max())
+        checked = 0.0 <= float(z.min()) and float(z.max()) <= 1.0
+        if checked and record.start_rank > 0 and max(-pre_min, pre_max - 1.0) > limit:
+            spent = record
+            solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, work=work)
+            pre_min, pre_max = float(solution.min()), float(solution.max())
+            record.retried = 1
+            record.cg_iters += spent.cg_iters
+            record.full_applications += spent.full_applications
+            record.reduced_applications += spent.reduced_applications
+        excursion = max(-pre_min, pre_max - 1.0, 0.0)
+        if checked and excursion > limit:
+            raise RangePreservationError(
+                f"pre-clamp excursion {excursion:.3e} exceeds 10 * rel_tol = {limit:.3e}"
+            )
+        record.pre_clamp_min, record.pre_clamp_max = pre_min, pre_max
+        np.clip(solution, 0.0, 1.0, out=z_next)
         record.iter = n
         record.energy = total_energy(z_next, cfg.model, work=work)
         if not math.isfinite(record.energy):

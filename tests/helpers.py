@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import islice
 
@@ -17,16 +18,18 @@ from illushape import (
     LinearizedData,
     ModelParams,
     PhaseField,
+    RangePreservationError,
     ShapeMask,
     SolverConfig,
     StartSubspace,
     StepRecord,
+    cg_solve,
     double_well,
     energy_drop_bound,
     euler_lagrange_residual,
     linearize,
     null_hypothesis,
-    step,
+    run,
     total_energy,
 )
 from illushape.cli import _TOKEN, PgmFormatError
@@ -348,12 +351,17 @@ def above_one(solution: np.ndarray) -> np.ndarray:
     return values
 
 
+def one_step(z: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepRecord]:
+    """One outer step from ``z``: ``run`` with a budget of one step, started at ``z``."""
+    field, report = run(dataclasses.replace(cfg, max_outer=1), initial=z)
+    return field, report.steps[0]
+
+
 def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     """``solver.run`` with every inner solve started at z_n, never at a projection.
 
     The reference for the projected start and for the step's retry from z_n:
-    the same loop and bookkeeping, calling ``step`` without a subspace, so
-    no step is retried.
+    the loop of ``reference_run`` without a subspace, so no step is retried.
     """
     return _field_run(cfg, None)
 
@@ -361,19 +369,55 @@ def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
 def reference_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     """``solver.run`` as a loop of the kernels, each call on its own scratch.
 
-    The reference for the run's workspace, whose scratch aliases by phase:
-    ``step`` with the run's projected start, then ``total_energy``,
-    ``rms_diff``, ``energy_drop_bound`` and the final
+    The reference for the run's step and workspace, whose scratch aliases by
+    phase: ``reference_step`` with the run's projected start, then
+    ``total_energy``, ``rms_diff``, ``energy_drop_bound`` and the final
     ``euler_lagrange_residual``, each without a workspace.
     """
     return _field_run(cfg, StartSubspace(START_DIRECTIONS))
+
+
+def reference_step(
+    z: PhaseField, cfg: SolverConfig, ring: StartSubspace | None
+) -> tuple[PhaseField, StepRecord]:
+    """One step of ``solver.run`` written out from the public kernels.
+
+    Linearize at z, solve from z with the ring's projected start, and, from
+    an iterate in [0, 1], check the range: a projected start that leaves
+    10 x ``rel_tol`` is solved again from z without the ring, its record
+    then counting the work of both solves, and a kept solve that still
+    leaves the limit raises ``RangePreservationError``.  The solution is
+    then clamped to [0, 1].  The solve is this module's ``cg_solve``, so a
+    test patches it here as it patches ``solver``'s.
+    """
+    data = linearize(z, cfg.model)
+    solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, subspace=ring)
+    limit = 10.0 * cfg.cg.rel_tol
+    checked = 0.0 <= z.values.min() and z.values.max() <= 1.0
+
+    def excursion(x):
+        return max(-float(x.min()), float(x.max()) - 1.0, 0.0)
+
+    if checked and record.start_rank > 0 and excursion(solution) > limit:
+        spent = record
+        solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z)
+        record.retried = 1
+        record.cg_iters += spent.cg_iters
+        record.full_applications += spent.full_applications
+        record.reduced_applications += spent.reduced_applications
+    if checked and excursion(solution) > limit:
+        raise RangePreservationError(
+            f"pre-clamp excursion {excursion(solution):.3e} exceeds 10 * rel_tol = {limit:.3e}"
+        )
+    record.pre_clamp_min, record.pre_clamp_max = float(solution.min()), float(solution.max())
+    return PhaseField(z.geometry, np.clip(solution, 0.0, 1.0)), record
 
 
 def _field_run(cfg: SolverConfig, ring: StartSubspace | None) -> tuple[PhaseField, IterationReport]:
     z = null_hypothesis(cfg.model.mask)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
-        z_next, record = step(z, cfg, ring)
+        z_next, record = reference_step(z, cfg, ring)
         record.iter = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)

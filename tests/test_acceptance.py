@@ -21,7 +21,6 @@ from illushape import (
     extract_shape,
     null_hypothesis,
     run,
-    step,
 )
 from illushape.cli import run_command, write_pgm
 from illushape.fixtures import (
@@ -36,6 +35,7 @@ from helpers import (
     dense_solve_oracle,
     first_variation,
     iou,
+    one_step,
     profile_measure_1d,
     random_instance,
     random_phase,
@@ -123,7 +123,7 @@ def test_criterion_05_surrogate_stationarity(kanizsa):
     z = null_hypothesis(kanizsa.mask)
     worst = 0.0
     for n in range(1, max(sampled) + 1):
-        z_next, _ = step(z, cfg)
+        z_next, _ = one_step(z, cfg)
         if n in sampled:
             scale = 1e-8 * (1.0 + abs(surrogate_energy(z_next, z, cfg.model)))
             for _ in range(10):

@@ -27,7 +27,7 @@ def test_mollify_zero_sigma_is_identity():
     geom = GridGeometry(16, 16)
     mask = block_mask(geom, slice(4, 8), slice(5, 11))
     out = mollify(mask, 0.0)
-    assert np.array_equal(out.values, mask.indicator())
+    assert np.array_equal(out, mask.indicator())
 
 
 def test_mollify_constant_masks_are_fixed_points():
@@ -36,7 +36,7 @@ def test_mollify_constant_masks_are_fixed_points():
         mask = ConfigurationMask(geom, np.full(geom.shape, fill))
         for sigma in (0.0, 2 * geom.h, 10 * geom.h):
             out = mollify(mask, sigma)
-            assert np.array_equal(out.values, np.full(geom.shape, float(fill)))
+            assert np.array_equal(out, np.full(geom.shape, float(fill)))
 
 
 def test_mollify_step_edge_splits_evenly():
@@ -47,9 +47,9 @@ def test_mollify_step_edge_splits_evenly():
     mask = ConfigurationMask(geom, inside)
     out = mollify(mask, 16 * geom.h)
     mid = geom.height // 2
-    assert abs(out.values[mid, 47] - 0.5) <= 0.02
-    assert abs(out.values[mid, 48] - 0.5) <= 0.02
-    assert out.values[mid, 47] + out.values[mid, 48] == pytest.approx(1.0, abs=1e-12)
+    assert abs(out[mid, 47] - 0.5) <= 0.02
+    assert abs(out[mid, 48] - 0.5) <= 0.02
+    assert out[mid, 47] + out[mid, 48] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mollify_preserves_unit_range():
@@ -57,8 +57,8 @@ def test_mollify_preserves_unit_range():
     geom = GridGeometry(24, 18)
     for _ in range(5):
         out = mollify(random_mask(geom, rng, p=0.3), 3 * geom.h)
-        assert out.values.min() >= 0.0
-        assert out.values.max() <= 1.0
+        assert out.min() >= 0.0
+        assert out.max() <= 1.0
 
 
 def test_mollify_rejects_negative_sigma():
@@ -71,7 +71,7 @@ def test_mollify_bounds_the_diffusion_time():
     # sigma = 1, the longest side, is a diffusion time of 1/2: 2 * 16^2 heat steps
     mask = block_mask(GridGeometry(16, 16), slice(4, 8), slice(5, 11))
     out = mollify(mask, 1.0)
-    assert 0.0 <= out.values.min() <= out.values.max() <= 1.0
+    assert 0.0 <= out.min() <= out.max() <= 1.0
     with pytest.raises(ValueError, match="sigma"):
         mollify(mask, math.nextafter(1.0, 2.0))
 

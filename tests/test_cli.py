@@ -434,7 +434,7 @@ def test_run_command_reports_a_range_failure(tmp_path, monkeypatch, capsys):
     mask = kanizsa_triangle(48, 48)
     cfg = solver.SolverConfig(model=solver.default_model(mask))
     with pytest.raises(solver.RangePreservationError):
-        solver.step(solver.null_hypothesis(mask), cfg)
+        solver.run(cfg)
     path = tmp_path / "kanizsa.pgm"
     write_pgm(path, mask_to_pixels(mask))
     assert run_command(["--input", str(path), "--out-dir", str(tmp_path / "run")]) == 1
@@ -469,6 +469,35 @@ def test_run_command_reports_an_overflow(tmp_path, capsys, flags):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("illushape: solver failure: ")
     assert not (out / "summary.json").exists()
+    assert not out.exists()  # the run made the directory and left it empty, so it goes
+
+
+def test_run_command_keeps_an_output_directory_it_did_not_make_or_wrote_to(tmp_path, monkeypatch, capsys):
+    # a solver failure removes only a directory it made and left empty
+    path = tmp_path / "disk.pgm"
+    write_pgm(path, mask_to_pixels(illusory_disk(32, 32)))
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run_command(["--input", str(path), "--out-dir", str(existing), "--lambda", "1e308"]) == 1
+    assert existing.is_dir() and not any(existing.iterdir())
+
+    # every solve after step 1's leaves the range, so step 2 raises after step 1's snapshot
+    from illushape import solver
+
+    real_cg_solve = solver.cg_solve
+    solves = []
+
+    def out_of_range_after_the_first(*args, **kwargs):
+        solution, stats = real_cg_solve(*args, **kwargs)
+        solves.append(stats)
+        return (above_one(solution) if len(solves) > 1 else solution), stats
+
+    monkeypatch.setattr(solver, "cg_solve", out_of_range_after_the_first)
+    snaps = tmp_path / "snaps"
+    assert run_command(["--input", str(path), "--out-dir", str(snaps), "--snapshot-every", "1"]) == 1
+    assert [f.name for f in snaps.iterdir()] == ["snap_000001.pgm"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("illushape: solver failure: ") for line in err)
 
 
 def test_summary_parameters_echo_every_flag(tmp_path):

@@ -52,16 +52,18 @@ def test_field_array_protocol_gives_read_only_values_or_copies():
 
 def test_gradient_of_constant_is_zero():
     geom = GridGeometry(9, 7)
-    g = gradient_magnitude(GridField.full(geom, 3.25))
-    assert np.all(g.values == 0.0)
+    g = gradient_magnitude(np.full(geom.shape, 3.25), geom.h)
+    assert np.all(g == 0.0)
 
 
 def test_gradient_of_ramp_is_one_on_interior():
     geom = GridGeometry(9, 9)
-    f = GridField(geom, np.tile(np.arange(9) * geom.h, (9, 1)))
-    g = gradient_magnitude(f)
-    assert np.allclose(g.values[:, 1:-1], 1.0, rtol=0, atol=1e-13)
-    assert np.all(g.values >= 0.0)
+    ramp = np.tile(np.arange(9) * geom.h, (9, 1))
+    g = gradient_magnitude(ramp, geom.h)
+    assert np.allclose(g[:, 1:-1], 1.0, rtol=0, atol=1e-13)
+    assert np.all(g >= 0.0)
+    # a field goes in where a grid array does, and the same bits come out
+    assert np.array_equal(gradient_magnitude(GridField(geom, ramp), geom.h), g)
 
 
 def test_gradient_exact_for_quadratic_columns():
@@ -70,9 +72,9 @@ def test_gradient_exact_for_quadratic_columns():
     geom = GridGeometry(9, 9)
     h = geom.h
     x = np.arange(9) * h
-    g = gradient_magnitude(GridField(geom, np.tile(x * x, (9, 1))))
+    g = gradient_magnitude(np.tile(x * x, (9, 1)), h)
     for j in range(1, 8):
-        assert g.values[:, j] == pytest.approx(2.0 * j * h, rel=1e-12)
+        assert g[:, j] == pytest.approx(2.0 * j * h, rel=1e-12)
 
 
 def test_gradient_exact_on_affine_fields():
@@ -81,8 +83,8 @@ def test_gradient_exact_on_affine_fields():
     X, Y = np.meshgrid(np.arange(12) * geom.h, np.arange(10) * geom.h)
     for _ in range(20):
         a, b, c = rng.uniform(-5, 5, size=3)
-        g = gradient_magnitude(GridField(geom, a + b * X + c * Y))
-        assert np.allclose(g.values, np.hypot(b, c), rtol=1e-12, atol=1e-12)
+        g = gradient_magnitude(a + b * X + c * Y, geom.h)
+        assert np.allclose(g, np.hypot(b, c), rtol=1e-12, atol=1e-12)
 
 
 def test_rms_diff_identity_and_uniform():

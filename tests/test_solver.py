@@ -16,7 +16,6 @@ from illushape import (
     PhaseField,
     RangePreservationError,
     SolverConfig,
-    StartSubspace,
     default_model,
     energy_drop_bound,
     euler_lagrange_residual,
@@ -25,13 +24,13 @@ from illushape import (
     presmooth,
     rms_diff,
     run,
-    step,
     total_energy,
 )
 from illushape import elliptic, solver
 from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
-from helpers import above_one, plain_run, random_phase, reference_run, surrogate_energy
+import helpers
+from helpers import above_one, one_step, plain_run, random_phase, reference_run, surrogate_energy
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,7 @@ def test_presmooth_stays_in_unit_range():
 
 def test_step_zero_is_exact_fixed_point(small_setup):
     mask, cfg = small_setup
-    z1, stats = step(PhaseField.zeros(mask.geometry), cfg)
+    z1, stats = one_step(PhaseField.zeros(mask.geometry), cfg)
     assert np.all(z1.values == 0.0)
     assert stats.cg_iters == 0
     assert stats.cg_residual == 0.0
@@ -88,7 +87,7 @@ def test_step_preserves_unit_range(small_setup):
     rng = np.random.default_rng(7)
     for _ in range(3):
         z = random_phase(mask.geometry, rng)
-        z1, stats = step(z, cfg)
+        z1, stats = one_step(z, cfg)
         assert z1.values.min() >= 0.0
         assert z1.values.max() <= 1.0
         excursion = max(-stats.pre_clamp_min, stats.pre_clamp_max - 1.0, 0.0)
@@ -99,7 +98,7 @@ def test_step_minimizes_surrogate(small_setup):
     mask, cfg = small_setup
     rng = np.random.default_rng(11)
     z_n = null_hypothesis(mask)
-    z1, _ = step(z_n, cfg)
+    z1, _ = one_step(z_n, cfg)
     base = surrogate_energy(z1, z_n, cfg.model)
     for _ in range(20):
         u = random_phase(mask.geometry, rng, lo=-1.0, hi=1.0)
@@ -220,30 +219,34 @@ def test_predicted_start_keeps_the_plain_trajectory(make_mask, rel_tol):
 
 
 def test_step_retries_a_projected_start_that_leaves_the_range(small_setup, monkeypatch):
-    mask, cfg = small_setup
-    z0 = null_hypothesis(mask)
-    z1, _ = step(z0, cfg)
-    z2, _ = step(z1, cfg)
-    ring = StartSubspace(solver.START_DIRECTIONS)
-    ring.push(z1.values, z0.values)
-    ring.push(z2.values, z1.values)
-    want, plain = step(z2, cfg)
+    # the fifth projected solve, step 6's, leaves the range limit, so the run
+    # solves step 6 again from z_5
+    _, cfg = small_setup
+    cfg = dataclasses.replace(cfg, max_outer=6)
+    z5, _ = run(dataclasses.replace(cfg, max_outer=5))
+    want, plain = helpers.reference_step(z5, cfg, None)
 
     real_cg_solve = solver.cg_solve
-    solves = []
+    projected, solves = [], []
 
-    def projected_out_of_range(*args, subspace=None, **kwargs):
+    def fifth_projected_out_of_range(*args, subspace=None, **kwargs):
         solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
-        solves.append(dataclasses.replace(stats))  # step adds the spent counts into the kept one
-        return (above_one(solution) if subspace is not None and subspace.count else solution), stats
+        solves.append(dataclasses.replace(stats))  # the run adds the spent counts into the kept one
+        if subspace is not None and subspace.count:
+            projected.append(stats.start_rank)
+            if len(projected) == 5:
+                return above_one(solution), stats
+        return solution, stats
 
-    monkeypatch.setattr(solver, "cg_solve", projected_out_of_range)
-    z3, record = step(z2, cfg, ring)
-    first, second = solves
+    monkeypatch.setattr(solver, "cg_solve", fifth_projected_out_of_range)
+    z6, report = run(cfg)
+    record = report.steps[-1]
+    assert len(solves) == 7
+    first, second = solves[5:]
     assert first.start_rank > 0 and second.start_rank == 0
-    # the retry solves from z_n as a step without a subspace does, and keeps its outcome
-    assert np.array_equal(z3.values, want.values)
-    assert record.retried == 1 and plain.retried == 0
+    # the retry solves from z_n as the reference's plain step does, and keeps its outcome
+    assert np.array_equal(z6.values, want.values)
+    assert [s.retried for s in report.steps] == [0, 0, 0, 0, 0, 1] and plain.retried == 0
     assert record.cg_iters == first.cg_iters + second.cg_iters == first.cg_iters + plain.cg_iters
     assert record.full_applications == first.full_applications + plain.full_applications
     assert record.reduced_applications == first.reduced_applications + plain.reduced_applications
@@ -251,16 +254,22 @@ def test_step_retries_a_projected_start_that_leaves_the_range(small_setup, monke
     assert (record.pre_clamp_min, record.pre_clamp_max) == (plain.pre_clamp_min, plain.pre_clamp_max)
 
     # when the retry leaves the range as well, the step raises
-    def out_of_range(*args, **kwargs):
-        solution, stats = real_cg_solve(*args, **kwargs)
+    def fifth_projected_and_its_retry_out_of_range(*args, subspace=None, **kwargs):
+        solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
+        if subspace is not None and subspace.count:
+            projected.append(stats.start_rank)
+        if len(projected) < 5:
+            return solution, stats
         solves.append(stats)
         return above_one(solution), stats
 
+    projected.clear()
     solves.clear()
-    monkeypatch.setattr(solver, "cg_solve", out_of_range)
+    monkeypatch.setattr(solver, "cg_solve", fifth_projected_and_its_retry_out_of_range)
+    seen = []
     with pytest.raises(RangePreservationError, match="pre-clamp excursion 1.000e-03"):
-        step(z2, cfg, ring)
-    assert len(solves) == 2
+        run(cfg, step_sink=lambda record, field: seen.append(record.iter))
+    assert seen == [1, 2, 3, 4, 5] and len(solves) == 2
 
 
 def _assert_same_run(got, want) -> None:
@@ -309,7 +318,8 @@ def test_run_with_one_row_bands_matches_the_default_run(make_mask, monkeypatch):
 
 def test_run_workspace_retries_like_the_reference(monkeypatch):
     # the fifth projected solve leaves the range limit, so that step solves
-    # again from z_n inside the run's workspace
+    # again from z_n inside the run's workspace, as the reference's own step
+    # does with the same solve patched in
     cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=12)
     real_cg_solve = solver.cg_solve
     projected = []
@@ -323,11 +333,41 @@ def test_run_workspace_retries_like_the_reference(monkeypatch):
         return solution, stats
 
     monkeypatch.setattr(solver, "cg_solve", fifth_projected_out_of_range)
+    monkeypatch.setattr(helpers, "cg_solve", fifth_projected_out_of_range)
     got = run(cfg)
     assert projected[4] > 0
     projected.clear()
     _assert_same_run(got, reference_run(cfg))
     assert [s.iter for s in got[1].steps if s.retried] == [6]
+
+
+def test_run_checks_the_range_only_from_an_iterate_in_the_unit_range(monkeypatch):
+    # a start above 1 leaves the range unchecked on step 1, whose solution the
+    # clamp brings into [0, 1]; from there every step is checked
+    cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=3)
+    z0 = null_hypothesis(cfg.model.mask)
+    start = PhaseField(z0.geometry, 1.5 * z0.values)
+    fields = []
+    z, report = run(cfg, initial=start, step_sink=lambda record, field: fields.append(field.values))
+    first, second = report.steps[:2]
+    limit = 10.0 * cfg.cg.rel_tol
+    assert first.pre_clamp_max > 1.2 > 1.0 + limit  # 1.2273, and no raise
+    assert 0.0 <= fields[0].min() and fields[0].max() <= 1.0
+    assert max(-second.pre_clamp_min, second.pre_clamp_max - 1.0) <= limit
+    assert 0.0 <= z.values.min() and z.values.max() <= 1.0
+
+    # with every solve pushed out of range, step 1 still passes and step 2 raises
+    real_cg_solve = solver.cg_solve
+
+    def out_of_range(*args, **kwargs):
+        solution, stats = real_cg_solve(*args, **kwargs)
+        return above_one(solution), stats
+
+    monkeypatch.setattr(solver, "cg_solve", out_of_range)
+    seen = []
+    with pytest.raises(RangePreservationError, match="pre-clamp excursion 1.000e-03"):
+        run(cfg, initial=start, step_sink=lambda record, field: seen.append(record.iter))
+    assert seen == [1]
 
 
 def test_kernels_take_arrays_or_fields_alike(small_setup):
