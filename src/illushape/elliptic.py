@@ -85,12 +85,10 @@ class StepRecord:
     or it was rejected), and ``full_applications`` and
     ``reduced_applications``, its applications of the full operator A (and
     of its diffusion part L) and of the reduced operator S.
-    ``solver.run``'s step sets the pre-clamp range and ``retried``, 1
-    when a projected start's solve left the range limit and the step
-    solved again from z_n; the three work counts then add up both solves,
-    every other field describes the solve that was kept.  ``run`` then
-    sets the rest.  ``rho`` and ``drop_bound``
-    compare this iterate with its successor: NaN on the final record.
+    ``range_bound`` bounds the solution's error in the max norm (see
+    ``cg_solve``).  ``solver.run``'s step sets the pre-clamp range and then
+    the rest.  ``rho`` and ``drop_bound`` compare this iterate with its
+    successor: NaN on the final record.
     """
 
     iter: int = 0
@@ -105,7 +103,7 @@ class StepRecord:
     start_rank: int = 0
     full_applications: int = 0
     reduced_applications: int = 0
-    retried: int = 0
+    range_bound: float = 0.0
 
 
 class CgConvergenceError(RuntimeError):
@@ -526,6 +524,12 @@ def cg_solve(
     applications count the elimination and the back-substitution together
     as one.
 
+    The record's ``range_bound`` is ||r||_inf / alpha, alpha the canyon
+    floor and r the residual the solve ends with (0 for a zero right-hand
+    side).  It bounds ||x - u||_inf, u the exact solution: A = L + diag(g_n)
+    is diagonally dominant by g_i >= G >= alpha in each interior row, so
+    ||A^-1||_inf <= 1 / alpha (Varah 1975).
+
     The solve runs in the workspace ``work``, or in a new one without it,
     and the solution is written into its ``z_next`` and returned as that
     array.
@@ -574,7 +578,8 @@ def cg_solve(
     tol = cg.rel_tol * f_norm
     r_norm = math.sqrt(_dot(r, r))
     if r_norm <= tol:
-        return out, StepRecord(cg_residual=r_norm / f_norm, start_rank=rank, full_applications=full)
+        bound = float(max(r.max(), -r.min())) / p.canyon.alpha
+        return out, StepRecord(cg_residual=r_norm / f_norm, start_rank=rank, full_applications=full, range_bound=bound)
 
     # the nine compact arrays: xb and q over r, rb and u over ad, zb and minv
     # over face, D_b and D_r^-1 over A s, and db; each pair is taken once its
@@ -644,4 +649,5 @@ def cg_solve(
     return out, StepRecord(
         cg_iters=k, cg_residual=r_norm / f_norm, start_rank=rank,
         full_applications=full, reduced_applications=k + 1,
+        range_bound=float(max(rb.max(), -rb.min())) / p.canyon.alpha,
     )

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-# Largest grid a generator builds (2048 x 2048); checked before any array exists.
+# Largest grid a generator builds (2048 x 2048); enforced before any array exists.
 MAX_FIXTURE_CELLS = 2048 * 2048
 
 

@@ -46,7 +46,7 @@ class GridGeometry:
 
 
 def _read_only_copy(values, geometry: GridGeometry, dtype) -> np.ndarray:
-    """A read-only copy of ``values`` as ``dtype``, checked against the grid shape."""
+    """A read-only copy of ``values`` as ``dtype``, validated against the grid shape."""
     a = _grid_array(np.array(values, dtype=dtype), geometry.shape)
     a.setflags(write=False)
     return a

@@ -29,8 +29,16 @@ from illushape import (
 from illushape import elliptic, solver
 from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle
 
-import helpers
-from helpers import above_one, one_step, plain_run, random_phase, reference_run, surrogate_energy
+from helpers import (
+    above_one,
+    one_step,
+    plain_run,
+    random_phase,
+    reference_run,
+    rhs_doubled_after,
+    surrogate_energy,
+    true_range_bound,
+)
 
 
 @pytest.fixture(scope="module")
@@ -218,60 +226,6 @@ def test_predicted_start_keeps_the_plain_trajectory(make_mask, rel_tol):
     assert sum(s.cg_iters for s in report.steps) < sum(s.cg_iters for s in plain.steps)
 
 
-def test_step_retries_a_projected_start_that_leaves_the_range(small_setup, monkeypatch):
-    # the fifth projected solve, step 6's, leaves the range limit, so the run
-    # solves step 6 again from z_5
-    _, cfg = small_setup
-    cfg = dataclasses.replace(cfg, max_outer=6)
-    z5, _ = run(dataclasses.replace(cfg, max_outer=5))
-    want, plain = helpers.reference_step(z5, cfg, None)
-
-    real_cg_solve = solver.cg_solve
-    projected, solves = [], []
-
-    def fifth_projected_out_of_range(*args, subspace=None, **kwargs):
-        solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
-        solves.append(dataclasses.replace(stats))  # the run adds the spent counts into the kept one
-        if subspace is not None and subspace.count:
-            projected.append(stats.start_rank)
-            if len(projected) == 5:
-                return above_one(solution), stats
-        return solution, stats
-
-    monkeypatch.setattr(solver, "cg_solve", fifth_projected_out_of_range)
-    z6, report = run(cfg)
-    record = report.steps[-1]
-    assert len(solves) == 7
-    first, second = solves[5:]
-    assert first.start_rank > 0 and second.start_rank == 0
-    # the retry solves from z_n as the reference's plain step does, and keeps its outcome
-    assert np.array_equal(z6.values, want.values)
-    assert [s.retried for s in report.steps] == [0, 0, 0, 0, 0, 1] and plain.retried == 0
-    assert record.cg_iters == first.cg_iters + second.cg_iters == first.cg_iters + plain.cg_iters
-    assert record.full_applications == first.full_applications + plain.full_applications
-    assert record.reduced_applications == first.reduced_applications + plain.reduced_applications
-    assert (record.cg_residual, record.start_rank) == (plain.cg_residual, 0)
-    assert (record.pre_clamp_min, record.pre_clamp_max) == (plain.pre_clamp_min, plain.pre_clamp_max)
-
-    # when the retry leaves the range as well, the step raises
-    def fifth_projected_and_its_retry_out_of_range(*args, subspace=None, **kwargs):
-        solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
-        if subspace is not None and subspace.count:
-            projected.append(stats.start_rank)
-        if len(projected) < 5:
-            return solution, stats
-        solves.append(stats)
-        return above_one(solution), stats
-
-    projected.clear()
-    solves.clear()
-    monkeypatch.setattr(solver, "cg_solve", fifth_projected_and_its_retry_out_of_range)
-    seen = []
-    with pytest.raises(RangePreservationError, match="pre-clamp excursion 1.000e-03"):
-        run(cfg, step_sink=lambda record, field: seen.append(record.iter))
-    assert seen == [1, 2, 3, 4, 5] and len(solves) == 2
-
-
 def _assert_same_run(got, want) -> None:
     """Two runs' records, final fields and stationarity residuals, bit for bit."""
     (z, report), (z_want, wanted) = got, want
@@ -316,58 +270,139 @@ def test_run_with_one_row_bands_matches_the_default_run(make_mask, monkeypatch):
     _assert_same_run(run(cfg), want)
 
 
-def test_run_workspace_retries_like_the_reference(monkeypatch):
-    # the fifth projected solve leaves the range limit, so that step solves
-    # again from z_n inside the run's workspace, as the reference's own step
-    # does with the same solve patched in
-    cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=12)
+@pytest.mark.parametrize(
+    "make_mask, rel_tol",
+    [
+        (lambda: kanizsa_triangle(64, 64), 1e-10),
+        (lambda: kanizsa_triangle(64, 64), 1e-6),
+        (lambda: illusory_disk(101, 97), 1e-10),
+        (lambda: illusory_disk(101, 97), 1e-6),
+    ],
+    ids=["kanizsa-64", "kanizsa-64-cgtol6", "disk-101x97", "disk-101x97-cgtol6"],
+)
+def test_range_bound_certifies_every_step(make_mask, rel_tol, monkeypatch):
+    # every step's excursion lies within the solve's bound, which agrees with
+    # the bound of the true residual to 1%, or to 1e-12 where the residual is
+    # down to the rounding of the start (Kanizsa 64^2 fades to zero, and its
+    # last step's right-hand side is below 1e-16)
+    cfg = SolverConfig(model=default_model(make_mask()), cg=CgParams(rel_tol=rel_tol))
     real_cg_solve = solver.cg_solve
-    projected = []
+    seen = []
 
-    def fifth_projected_out_of_range(*args, subspace=None, **kwargs):
-        solution, stats = real_cg_solve(*args, subspace=subspace, **kwargs)
-        if subspace is not None and subspace.count:
-            projected.append(stats.start_rank)
-            if len(projected) == 5:
-                return above_one(solution), stats
-        return solution, stats
+    def measured(data, p, *args, **kwargs):
+        solution, record = real_cg_solve(data, p, *args, **kwargs)
+        excursion = max(-float(solution.min()), float(solution.max()) - 1.0, 0.0)
+        seen.append((excursion, record.range_bound, true_range_bound(solution, data, p)))
+        return solution, record
 
-    monkeypatch.setattr(solver, "cg_solve", fifth_projected_out_of_range)
-    monkeypatch.setattr(helpers, "cg_solve", fifth_projected_out_of_range)
-    got = run(cfg)
-    assert projected[4] > 0
-    projected.clear()
-    _assert_same_run(got, reference_run(cfg))
-    assert [s.iter for s in got[1].steps if s.retried] == [6]
+    monkeypatch.setattr(solver, "cg_solve", measured)
+    _, report = run(cfg)
+    assert report.status == "converged" and len(seen) == len(report.steps)
+    assert [s.range_bound for s in report.steps] == [bound for _, bound, _ in seen]
+    assert all(excursion <= bound for excursion, bound, _ in seen)
+    assert all(abs(bound - true) <= 0.01 * true + 1e-12 for _, bound, true in seen)
+    assert max(bound for _, bound, _ in seen) > 10.0 * rel_tol  # not all at the rounding floor
 
 
-def test_run_checks_the_range_only_from_an_iterate_in_the_unit_range(monkeypatch):
-    # a start above 1 leaves the range unchecked on step 1, whose solution the
-    # clamp brings into [0, 1]; from there every step is checked
+def _solve_counter(monkeypatch, patch=None):
+    """Patch ``solver.cg_solve`` to count its calls, passing each outcome
+    through ``patch(n, solution, record)`` for the n-th call when given."""
+    real_cg_solve = solver.cg_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        solution, record = real_cg_solve(*args, **kwargs)
+        calls.append(record)
+        return (solution, record) if patch is None else patch(len(calls), solution, record)
+
+    monkeypatch.setattr(solver, "cg_solve", counted)
+    return calls
+
+
+def _operator_counter(monkeypatch):
+    real_apply = solver.apply_operator
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real_apply(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "apply_operator", counted)
+    return calls
+
+
+def test_run_keeps_an_excursion_inside_the_certified_bound(monkeypatch):
+    # step 2's bound (1.4e-8) lies past 10 x rel_tol (1e-9); a solution pushed 5e-9
+    # above 1 is kept after one solve, without a look at the true residual (the
+    # sink counts the operator applications; the final residual makes one more)
+    cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=4)
+    _, plain = run(cfg)
+    bound = plain.steps[1].range_bound
+    assert 10.0 * cfg.cg.rel_tol < 5e-9 < bound
+
+    def pushed_at_step_2(by):
+        return lambda n, solution, record: ((above_one(solution, by) if n == 2 else solution), record)
+
+    solves = _solve_counter(monkeypatch, pushed_at_step_2(5e-9))
+    looks = _operator_counter(monkeypatch)
+    seen = []
+    _, report = run(cfg, step_sink=lambda record, field: seen.append(len(looks)))
+    assert len(solves) == len(report.steps) == 4 and seen == [0, 0, 0, 0]
+    assert report.steps[1].pre_clamp_max == 1.0 + 5e-9 and report.steps[1].range_bound == bound
+
+    # a push of 1e-3 exceeds the solve's bound, but not the true residual's: by
+    # Varah's bound no solution leaves [0, 1] by more than its own residual
+    # certifies, so one look at it keeps the step
+    solves = _solve_counter(monkeypatch, pushed_at_step_2(1e-3))
+    looks = _operator_counter(monkeypatch)
+    seen = []
+    _, report = run(cfg, step_sink=lambda record, field: seen.append(len(looks)))
+    assert len(solves) == len(report.steps) == 4 and seen == [0, 1, 1, 1]
+    assert report.steps[1].pre_clamp_max == 1.0 + 1e-3
+
+
+def test_run_raises_when_a_broken_linearization_leaves_the_range(monkeypatch):
+    # step 3's right-hand side is doubled, so its exact solution reaches about 2:
+    # the step raises after exactly one solve, with the sink having seen steps 1-2
+    cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=4)
+    monkeypatch.setattr(solver, "linearize", rhs_doubled_after(2))
+    solves = _solve_counter(monkeypatch)
+    seen = []
+    with pytest.raises(RangePreservationError, match=r"pre-clamp excursion \S+ exceeds its certified bound"):
+        run(cfg, step_sink=lambda record, field: seen.append(record.iter))
+    assert seen == [1, 2] and len(solves) == 3
+    assert solves[2].range_bound < 1e-7
+
+
+def test_run_checks_an_excursion_past_the_recorded_bound_on_the_true_residual(monkeypatch):
+    # with every recorded bound patched to 0, a sound run still keeps every step:
+    # each excursion is looked at again, on the true residual, and passes
+    cfg = SolverConfig(model=default_model(illusory_disk(101, 97)), cg=CgParams(rel_tol=1e-6))
+    want = run(cfg)
+
+    def no_bound(n, solution, record):
+        record.range_bound = 0.0
+        return solution, record
+
+    _solve_counter(monkeypatch, no_bound)
+    looks = _operator_counter(monkeypatch)
+    z, report = run(cfg)
+    excursions = [max(-s.pre_clamp_min, s.pre_clamp_max - 1.0, 0.0) for s in report.steps]
+    assert len(looks) - 1 == sum(e > 0.0 for e in excursions) > 0  # and the final residual
+    assert z.values.tobytes() == want[0].values.tobytes()
+    assert [s.range_bound for s in report.steps] == [0.0] * len(report.steps)
+    assert [s.energy for s in report.steps] == [s.energy for s in want[1].steps]
+
+
+def test_run_rejects_an_initial_field_outside_the_unit_range(monkeypatch):
+    # the range argument needs z_n in [0, 1]: a start above 1 raises before any solve
     cfg = SolverConfig(model=default_model(kanizsa_triangle(64, 64)), max_outer=3)
     z0 = null_hypothesis(cfg.model.mask)
-    start = PhaseField(z0.geometry, 1.5 * z0.values)
-    fields = []
-    z, report = run(cfg, initial=start, step_sink=lambda record, field: fields.append(field.values))
-    first, second = report.steps[:2]
-    limit = 10.0 * cfg.cg.rel_tol
-    assert first.pre_clamp_max > 1.2 > 1.0 + limit  # 1.2273, and no raise
-    assert 0.0 <= fields[0].min() and fields[0].max() <= 1.0
-    assert max(-second.pre_clamp_min, second.pre_clamp_max - 1.0) <= limit
-    assert 0.0 <= z.values.min() and z.values.max() <= 1.0
-
-    # with every solve pushed out of range, step 1 still passes and step 2 raises
-    real_cg_solve = solver.cg_solve
-
-    def out_of_range(*args, **kwargs):
-        solution, stats = real_cg_solve(*args, **kwargs)
-        return above_one(solution), stats
-
-    monkeypatch.setattr(solver, "cg_solve", out_of_range)
-    seen = []
-    with pytest.raises(RangePreservationError, match="pre-clamp excursion 1.000e-03"):
-        run(cfg, initial=start, step_sink=lambda record, field: seen.append(record.iter))
-    assert seen == [1]
+    solves = _solve_counter(monkeypatch)
+    for bad in (1.5 * z0.values, -0.5 * z0.values):
+        with pytest.raises(ValueError, match=r"initial field must lie in \[0, 1\]"):
+            run(cfg, initial=PhaseField(z0.geometry, bad))
+    assert solves == []
 
 
 def test_kernels_take_arrays_or_fields_alike(small_setup):
