@@ -85,10 +85,11 @@ class StepRecord:
     or it was rejected), and ``full_applications`` and
     ``reduced_applications``, its applications of the full operator A (and
     of its diffusion part L) and of the reduced operator S.
-    ``range_bound`` bounds the solution's error in the max norm (see
-    ``cg_solve``).  ``solver.run``'s step sets the pre-clamp range and then
-    the rest.  ``rho`` and ``drop_bound`` compare this iterate with its
-    successor: NaN on the final record.
+    ``range_bound`` bounds the solution's error in the max norm: the
+    solve's bound (see ``cg_solve``), or the true residual's where
+    ``solver.run`` looked at it.  ``solver.run``'s step sets the pre-clamp
+    range and then the rest.  ``rho`` and ``drop_bound`` compare this
+    iterate with its successor: NaN on the final record.
     """
 
     iter: int = 0
@@ -507,28 +508,34 @@ def cg_solve(
     galerkin``), when s lowers the inner quadratic x'Ax/2 - f'x, that is
     when s'As/2 < s'r0 with r0 = f - A x0; otherwise it stays at x0.  That
     costs one application of A, one of L per new difference, and no grid
-    array.  A start that already meets the tolerance is returned as it is.
+    array.
 
-    Otherwise the red cells are eliminated: with A = [[D_r, -N_rb],
-    [-N_br, D_b]], CG solves the Schur complement S x_b = f_b + N_br D_r^-1
-    f_r, S = D_b - N_br D_r^-1 N_rb, on the black cells, preconditioned by
-    the exact diagonal of S, and the back-substitution x_r = D_r^-1 (f_r +
-    N_rb x_b) leaves no red residual.  The reduced residual is then the full
-    one, and S converges in about half the iterations of A, each on
-    half-length vectors.  The loop works in place on compact flat buffers,
-    the preconditioned residual doubling as the products' scratch; each
-    product S d runs the workspace's band plan (``Operator.schur_plan``),
-    built on the first solve.  Every reduction is ``_dot``, so repeated
-    solves are bit-identical whatever the BLAS thread count.  The returned
-    record has the solve's fields set (see ``StepRecord``); its reduced
-    applications count the elimination and the back-substitution together
-    as one.
+    Every solve with a nonzero right-hand side then eliminates the red
+    cells: with A = [[D_r, -N_rb], [-N_br, D_b]], CG solves the Schur
+    complement S x_b = f_b + N_br D_r^-1 f_r, S = D_b - N_br D_r^-1 N_rb, on
+    the black cells, preconditioned by the exact diagonal of S (no iteration
+    when the start meets the tolerance there), and the back-substitution
+    x_r = D_r^-1 (f_r + N_rb x_b) leaves no red residual.  The reduced
+    residual is then the full one, and S converges in about half the
+    iterations of A, each on half-length vectors.  The loop works in place
+    on compact flat buffers, the preconditioned residual doubling as the
+    products' scratch; each product S d runs the workspace's band plan
+    (``Operator.schur_plan``), built on the first solve.  Every reduction is
+    ``_dot``, so repeated solves are bit-identical whatever the BLAS thread
+    count.  The returned record has the solve's fields set (see
+    ``StepRecord``); its reduced applications count the elimination and the
+    back-substitution together as one.
 
     The record's ``range_bound`` is ||r||_inf / alpha, alpha the canyon
-    floor and r the residual the solve ends with (0 for a zero right-hand
-    side).  It bounds ||x - u||_inf, u the exact solution: A = L + diag(g_n)
-    is diagonally dominant by g_i >= G >= alpha in each interior row, so
-    ||A^-1||_inf <= 1 / alpha (Varah 1975).
+    floor and r the reduced residual the solve ends with (0 for a zero
+    right-hand side).  It bounds ||x - u||_inf, u the exact solution: A = L +
+    diag(g_n) is diagonally dominant by g_i >= G >= alpha in each interior
+    row, so ||A^-1||_inf <= 1 / alpha (Varah 1975).  ``cg_residual`` and
+    ``range_bound`` are read off the recursively updated residual, which can
+    understate the true one near a zero right-hand side: on Kanizsa 64^2's
+    last step the recorded bound is 7.6e-27, the true residual's 8.8e-24.
+    ``solver.run`` puts the true residual's bound in the record when a
+    step's excursion passes this one.
 
     The solve runs in the workspace ``work``, or in a new one without it,
     and the solution is written into its ``z_next`` and returned as that
@@ -576,10 +583,6 @@ def cg_solve(
             else:
                 rank = 0
     tol = cg.rel_tol * f_norm
-    r_norm = math.sqrt(_dot(r, r))
-    if r_norm <= tol:
-        bound = float(max(r.max(), -r.min())) / p.canyon.alpha
-        return out, StepRecord(cg_residual=r_norm / f_norm, start_rank=rank, full_applications=full, range_bound=bound)
 
     # the nine compact arrays: xb and q over r, rb and u over ad, zb and minv
     # over face, D_b and D_r^-1 over A s, and db; each pair is taken once its

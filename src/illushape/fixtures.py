@@ -29,6 +29,18 @@ __all__ = [
 # Largest grid a generator builds (2048 x 2048); enforced before any array exists.
 MAX_FIXTURE_CELLS = 2048 * 2048
 
+# Kanizsa: pac-man centers on a circle of this radius about the domain center,
+# and the pac-man radius, in domain-length units.
+CIRCUMRADIUS = 0.28
+PAC_RADIUS = 0.12
+
+# Illusory disk: this many spokes of this length and width, starting this far
+# from the domain center.
+N_SPOKES = 12
+DISK_RADIUS = 0.24
+SPOKE_LENGTH = 0.16
+SPOKE_WIDTH = 0.022
+
 
 def _cell_centers(geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     if geom.cells > MAX_FIXTURE_CELLS:
@@ -67,43 +79,33 @@ def _finish(geom: GridGeometry, inside: np.ndarray) -> ConfigurationMask:
     return mask
 
 
-def kanizsa_vertices(
-    geom: GridGeometry, circumradius: float = 0.28
-) -> tuple[tuple[float, float], ...]:
+def kanizsa_vertices(geom: GridGeometry) -> tuple[tuple[float, float], ...]:
     """Pac-man centers: vertices of an upright triangle around the domain center."""
     cx = 0.5 * geom.width * geom.h
     cy = 0.5 * geom.height * geom.h
     angles = (-np.pi / 2, np.pi / 6, 5 * np.pi / 6)
     return tuple(
-        (cx + circumradius * np.cos(a), cy + circumradius * np.sin(a)) for a in angles
+        (cx + CIRCUMRADIUS * np.cos(a), cy + CIRCUMRADIUS * np.sin(a)) for a in angles
     )
 
 
-def kanizsa_triangle(
-    width: int = 128,
-    height: int = 128,
-    *,
-    circumradius: float = 0.28,
-    pac_radius: float = 0.12,
-) -> ConfigurationMask:
+def kanizsa_triangle(width: int = 128, height: int = 128) -> ConfigurationMask:
     """Three pac-man disks whose mouths carve out an upright triangle."""
     geom = GridGeometry(width, height)
     X, Y = _cell_centers(geom)
-    v = kanizsa_vertices(geom, circumradius)
-    disks = _disk(X, Y, *v[0], pac_radius)
+    v = kanizsa_vertices(geom)
+    disks = _disk(X, Y, *v[0], PAC_RADIUS)
     for vx, vy in v[1:]:
-        disks |= _disk(X, Y, vx, vy, pac_radius)
+        disks |= _disk(X, Y, vx, vy, PAC_RADIUS)
     inside = disks & ~_triangle(X, Y, *v)
     return _finish(geom, inside)
 
 
-def ideal_triangle_shape(
-    width: int = 128, height: int = 128, *, circumradius: float = 0.28
-) -> ShapeMask:
+def ideal_triangle_shape(width: int = 128, height: int = 128) -> ShapeMask:
     """Filled triangle on the pac-man centers; reference region for overlap scores."""
     geom = GridGeometry(width, height)
     X, Y = _cell_centers(geom)
-    v = kanizsa_vertices(geom, circumradius)
+    v = kanizsa_vertices(geom)
     return ShapeMask(geom, _triangle(X, Y, *v))
 
 
@@ -138,15 +140,7 @@ def ellipse_triangle(width: int = 192, height: int = 128) -> ConfigurationMask:
     return _finish(geom, group_a | group_b)
 
 
-def illusory_disk(
-    width: int = 128,
-    height: int = 128,
-    *,
-    n_spokes: int = 12,
-    disk_radius: float = 0.24,
-    spoke_length: float = 0.16,
-    spoke_width: float = 0.022,
-) -> ConfigurationMask:
+def illusory_disk(width: int = 128, height: int = 128) -> ConfigurationMask:
     """Radial spokes stopping short of the center, inducing a disk."""
     geom = GridGeometry(width, height)
     X, Y = _cell_centers(geom)
@@ -156,15 +150,15 @@ def illusory_disk(
     dy = Y - cy
     r = np.hypot(dx, dy)
     inside = np.zeros(geom.shape, dtype=bool)
-    for t in np.linspace(0.0, 2.0 * np.pi, n_spokes, endpoint=False):
+    for t in np.linspace(0.0, 2.0 * np.pi, N_SPOKES, endpoint=False):
         along = dx * np.cos(t) + dy * np.sin(t)
         across = -dx * np.sin(t) + dy * np.cos(t)
         inside |= (
-            (along >= disk_radius)
-            & (along <= disk_radius + spoke_length)
-            & (np.abs(across) <= 0.5 * spoke_width)
+            (along >= DISK_RADIUS)
+            & (along <= DISK_RADIUS + SPOKE_LENGTH)
+            & (np.abs(across) <= 0.5 * SPOKE_WIDTH)
         )
-    inside &= r <= disk_radius + spoke_length
+    inside &= r <= DISK_RADIUS + SPOKE_LENGTH
     return _finish(geom, inside)
 
 

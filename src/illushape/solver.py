@@ -200,9 +200,10 @@ def run(
     the exact inner solution lies in [0, 1] (f_n >= 0 and A_n 1 >= f_n), so
     the pre-clamp excursion is within the solve's ``range_bound``.  That
     bound is read off the recursively updated residual, which drifts from
-    the true one, so only an excursion beyond the same bound on the true
-    residual f_n - A_n x as well raises ``RangePreservationError``.  The
-    ring is released before the final residual and field.
+    the true one, so an excursion past it is measured against the same
+    bound on the true residual f_n - A_n x, which the record then carries,
+    and raises ``RangePreservationError`` only beyond that too.  The ring
+    is released before the final residual and field.
     """
     z0 = initial if initial is not None else null_hypothesis(cfg.model.mask)
     require_same_geometry(z0, cfg.model)
@@ -224,7 +225,7 @@ def run(
         if excursion > record.range_bound:  # the recursive residual behind it drifts: look at the true one
             az = apply_operator(solution, data, cfg.model, work=work)
             r = np.subtract(data.f_n, az, out=az)[1:-1, 1:-1]
-            bound = float(max(r.max(), -r.min())) / cfg.model.canyon.alpha
+            bound = record.range_bound = float(max(r.max(), -r.min())) / cfg.model.canyon.alpha
             if excursion > bound:
                 raise RangePreservationError(f"pre-clamp excursion {excursion:.3e} exceeds its certified bound {bound:.3e}")
         np.clip(solution, 0.0, 1.0, out=z_next)

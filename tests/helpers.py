@@ -292,11 +292,6 @@ def textbook_reduced_pcg(
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     tol = cg.rel_tol * f_norm
     r = f - flux_apply(x, cx, cy, g)
-    r_norm = math.sqrt(_dot(r.ravel(), r.ravel()))
-    if r_norm <= tol:
-        return x, StepRecord(
-            cg_residual=r_norm / f_norm, full_applications=1, range_bound=float(np.abs(r).max()) / p.canyon.alpha
-        )
 
     diag = flux_diagonal(cx, cy, g)
     dinv_red = np.where(inner & ~black, 1.0 / diag, 0.0)
@@ -407,16 +402,16 @@ def reference_step(
 
     Linearize at z, solve once from z with the ring's projected start, and
     check the range: an excursion beyond the record's ``range_bound`` is
-    compared with |f - A x|'s interior maximum over the canyon floor, and
-    raises ``RangePreservationError`` beyond that too.  The solution is then
-    clamped to [0, 1].
+    compared with |f - A x|'s interior maximum over the canyon floor, which
+    the record then carries, and raises ``RangePreservationError`` beyond
+    that too.  The solution is then clamped to [0, 1].
     """
     data = linearize(z, cfg.model)
     solution, record = cg_solve(data, cfg.model, cfg.cg, warm_start=z, subspace=ring)
     record.pre_clamp_min, record.pre_clamp_max = float(solution.min()), float(solution.max())
     excursion = max(-record.pre_clamp_min, record.pre_clamp_max - 1.0, 0.0)
     if excursion > record.range_bound:
-        bound = true_range_bound(solution, data, cfg.model)
+        bound = record.range_bound = true_range_bound(solution, data, cfg.model)
         if excursion > bound:
             raise RangePreservationError(f"pre-clamp excursion {excursion:.3e} exceeds its certified bound {bound:.3e}")
     return PhaseField(z.geometry, np.clip(solution, 0.0, 1.0)), record

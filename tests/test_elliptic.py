@@ -363,9 +363,12 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     geom = GridGeometry(10, 10)
     data, p = random_instance(geom, rng)
     exact = dense_solve_oracle(data, p)
+    # the start meets the tolerance: the reduced loop takes no iteration, and the
+    # red cells are back-substituted like any solve's
     solution, stats = cg_solve(data, p, CgParams(rel_tol=1e-7), warm_start=exact)
-    assert stats.cg_iters == 0
-    assert np.array_equal(solution, exact)
+    assert stats.cg_iters == 0 and stats.reduced_applications == 1
+    assert_same_solve((solution, stats), textbook_reduced_pcg(data, p, CgParams(rel_tol=1e-7), warm_start=exact))
+    assert np.abs(solution - exact).max() <= 1e-12
     # so does a start elsewhere from a subspace that contains the solution
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     other = zero_rim_field(geom, rng).values
@@ -374,11 +377,14 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
     assert stats.cg_iters == 0
     assert stats.start_rank == 2
     assert np.abs(solution - exact).max() <= 1e-9
-    # the accepted start, bit for bit: the rim-zeroed warm start plus D theta
+    # the reduced system starts from the accepted start, the rim-zeroed warm start
+    # plus D theta: the solution is the textbook's solve from there, bit for bit
     twin = subspace_of(columns)
     theta, _, _ = galerkin_start(data, p, warm, twin)
-    want = zero_rim(warm.values.copy()).ravel() + np.einsum("j,jn->n", theta, twin.rows)
-    assert np.array_equal(solution.ravel().view(np.uint64), want.view(np.uint64))
+    start = zero_rim(warm.values.copy()).ravel() + np.einsum("j,jn->n", theta, twin.rows)
+    want, record = textbook_reduced_pcg(data, p, CgParams(rel_tol=1e-7), warm_start=start.reshape(geom.shape))
+    assert record.cg_iters == 0
+    assert np.array_equal(solution.view(np.uint64), want.view(np.uint64))
 
 
 def test_projected_start_is_the_galerkin_minimizer():

@@ -284,7 +284,9 @@ def test_range_bound_certifies_every_step(make_mask, rel_tol, monkeypatch):
     # every step's excursion lies within the solve's bound, which agrees with
     # the bound of the true residual to 1%, or to 1e-12 where the residual is
     # down to the rounding of the start (Kanizsa 64^2 fades to zero, and its
-    # last step's right-hand side is below 1e-16)
+    # last step's right-hand side is below 1e-16); and every solve, however
+    # good its start, ends in the reduced system: one reduced application for
+    # the elimination and back-substitution beside one per iteration
     cfg = SolverConfig(model=default_model(make_mask()), cg=CgParams(rel_tol=rel_tol))
     real_cg_solve = solver.cg_solve
     seen = []
@@ -300,8 +302,10 @@ def test_range_bound_certifies_every_step(make_mask, rel_tol, monkeypatch):
     assert report.status == "converged" and len(seen) == len(report.steps)
     assert [s.range_bound for s in report.steps] == [bound for _, bound, _ in seen]
     assert all(excursion <= bound for excursion, bound, _ in seen)
+    assert all(max(-s.pre_clamp_min, s.pre_clamp_max - 1.0) <= s.range_bound for s in report.steps)
     assert all(abs(bound - true) <= 0.01 * true + 1e-12 for _, bound, true in seen)
     assert max(bound for _, bound, _ in seen) > 10.0 * rel_tol  # not all at the rounding floor
+    assert all(s.reduced_applications == s.cg_iters + 1 for s in report.steps)
 
 
 def _solve_counter(monkeypatch, patch=None):
@@ -376,21 +380,28 @@ def test_run_raises_when_a_broken_linearization_leaves_the_range(monkeypatch):
 
 def test_run_checks_an_excursion_past_the_recorded_bound_on_the_true_residual(monkeypatch):
     # with every recorded bound patched to 0, a sound run still keeps every step:
-    # each excursion is looked at again, on the true residual, and passes
+    # each excursion is looked at again, on the true residual, and passes, and
+    # its record then carries the true residual's bound, which covers it
     cfg = SolverConfig(model=default_model(illusory_disk(101, 97)), cg=CgParams(rel_tol=1e-6))
     want = run(cfg)
+    real_cg_solve = solver.cg_solve
+    true_bounds = []
 
-    def no_bound(n, solution, record):
+    def no_bound(data, p, *args, **kwargs):
+        solution, record = real_cg_solve(data, p, *args, **kwargs)
+        true_bounds.append(true_range_bound(solution, data, p))
         record.range_bound = 0.0
         return solution, record
 
-    _solve_counter(monkeypatch, no_bound)
+    monkeypatch.setattr(solver, "cg_solve", no_bound)
     looks = _operator_counter(monkeypatch)
     z, report = run(cfg)
     excursions = [max(-s.pre_clamp_min, s.pre_clamp_max - 1.0, 0.0) for s in report.steps]
-    assert len(looks) - 1 == sum(e > 0.0 for e in excursions) > 0  # and the final residual
+    looked = [e > 0.0 for e in excursions]
+    assert len(looks) - 1 == sum(looked) > 0  # and the final residual
     assert z.values.tobytes() == want[0].values.tobytes()
-    assert [s.range_bound for s in report.steps] == [0.0] * len(report.steps)
+    assert [s.range_bound for s in report.steps] == [b if seen else 0.0 for b, seen in zip(true_bounds, looked)]
+    assert all(e <= s.range_bound for e, s in zip(excursions, report.steps))
     assert [s.energy for s in report.steps] == [s.energy for s in want[1].steps]
 
 
