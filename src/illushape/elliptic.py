@@ -294,23 +294,6 @@ class Operator:
             plan += [(np.multiply, d_black[a:b], d[a:b], tmp[a:b]), (np.subtract, tmp[a:b], out[a:b], out[a:b])]
         return plan
 
-    def reduced_diagonal(
-        self, d_black: np.ndarray, drinv: np.ndarray, out: np.ndarray, tmp: np.ndarray
-    ) -> None:
-        """``out`` = the diagonal of D_b - N_br D_r^-1 N_rb, given D_b and D_r^-1.
-
-        Each black cell's ``d_black`` less c^2 / D_r over its red neighbours,
-        summed in N_br's order (``couple``); ``tmp`` is scratch.
-        """
-        np.multiply(self.c_same, self.c_same, out=out)
-        out *= drinv
-        for c, b, r in self.links:
-            black, red = slice(b, b + len(c)), slice(r, r + len(c))
-            np.multiply(c, c, out=tmp[black])
-            tmp[black] *= drinv[red]
-            out[black] += tmp[black]
-        np.subtract(d_black, out, out=out)
-
 
 class StartSubspace:
     """Recent iterate differences of an outer run, for ``cg_solve``'s start.
@@ -513,8 +496,9 @@ def cg_solve(
     Every solve with a nonzero right-hand side then eliminates the red
     cells: with A = [[D_r, -N_rb], [-N_br, D_b]], CG solves the Schur
     complement S x_b = f_b + N_br D_r^-1 f_r, S = D_b - N_br D_r^-1 N_rb, on
-    the black cells, preconditioned by the exact diagonal of S (no iteration
-    when the start meets the tolerance there), and the back-substitution
+    the black cells, preconditioned by D_b, the black block of A's diagonal
+    (the reduced-system CG of Hageman & Young 1981; no iteration when the
+    start meets the tolerance there), and the back-substitution
     x_r = D_r^-1 (f_r + N_rb x_b) leaves no red residual.  The reduced
     residual is then the full one, and S converges in about half the
     iterations of A, each on half-length vectors.  The loop works in place
@@ -600,9 +584,8 @@ def cg_solve(
     u *= drinv
     op.neighbour_sum(u, q, zb, BLACK)
     rb += q
-    op.reduced_diagonal(db_diag, drinv, q, zb)
     minv.fill(0.0)
-    np.divide(1.0, q, out=minv, where=q > 0.0)  # rim and pad entries stay 0
+    np.divide(1.0, db_diag, out=minv, where=db_diag > 0.0)  # rim and pad entries stay 0
 
     if work.schur is None or work.schur[0] is not op:
         work.schur = op, op.schur_plan(db, q, u, zb, drinv, db_diag)

@@ -250,10 +250,10 @@ def textbook_reduced_pcg(
     work counts, range bound and ``CgConvergenceError``.  With red cells
     i + j even and black cells i + j odd, A = [[D_r, -N_rb], [-N_br, D_b]];
     CG runs on the Schur complement S = D_b - N_br D_r^-1 N_rb,
-    preconditioned by its diagonal, and x_r = D_r^-1 (f_r + N_rb x_b)
-    follows.  The couplings are the faces of ``face_coefficients`` between
-    two interior cells; every neighbour sum runs west and east, then north,
-    then south.  Inner products run over the black cells packed row by row
+    preconditioned by D_b, the black block of A's diagonal (Hageman &
+    Young's RS-CG), and x_r = D_r^-1 (f_r + N_rb x_b) follows.  The
+    couplings are the faces of ``face_coefficients`` between two interior
+    cells; every neighbour sum runs west and east, then north, then south.  Inner products run over the black cells packed row by row
     into an (H, ceil(W/2)) array with zero pads, the order ``cg_solve`` keeps.
     """
     geom = p.geometry
@@ -266,12 +266,12 @@ def textbook_reduced_pcg(
     fx = np.where(inner[:, :-1] & inner[:, 1:], cx, 0.0)
     fy = np.where(inner[:-1, :] & inner[1:, :], cy, 0.0)
 
-    def neighbour_sum(v, sx=fx, sy=fy):
+    def neighbour_sum(v):
         west, east, north, south = (np.zeros(geom.shape) for _ in range(4))
-        west[:, 1:] = sx * v[:, :-1]
-        east[:, :-1] = sx * v[:, 1:]
-        north[1:, :] = sy * v[:-1, :]
-        south[:-1, :] = sy * v[1:, :]
+        west[:, 1:] = fx * v[:, :-1]
+        east[:, :-1] = fx * v[:, 1:]
+        north[1:, :] = fy * v[:-1, :]
+        south[:-1, :] = fy * v[1:, :]
         return ((west + east) + north) + south
 
     def pack(v):
@@ -296,8 +296,7 @@ def textbook_reduced_pcg(
     diag = flux_diagonal(cx, cy, g)
     dinv_red = np.where(inner & ~black, 1.0 / diag, 0.0)
     minv = np.zeros(geom.shape)
-    schur_diag = diag - neighbour_sum(dinv_red, fx * fx, fy * fy)
-    minv[inner & black] = 1.0 / schur_diag[inner & black]
+    minv[inner & black] = 1.0 / diag[inner & black]
 
     def schur(v):
         return diag * v - neighbour_sum(dinv_red * neighbour_sum(v))

@@ -358,6 +358,42 @@ def test_reduced_cg_on_small_and_odd_grids():
                 assert stats.cg_residual <= CgParams().rel_tol
 
 
+def test_reduced_cg_is_cg_on_the_unit_diagonal_reduced_system():
+    # an oracle independent of the textbook loop: dense S = K_bb - K_br K_rr^-1 K_rb
+    # scaled by D_b^-1/2 on both sides, k plain CG steps from 0, unscaled and
+    # back-substituted, is cg_solve's iterate after k steps
+    rng = np.random.default_rng(71)
+    for width, height in ((12, 12), (13, 9)):
+        geom = GridGeometry(width, height)
+        data, p = random_instance(geom, rng)
+        K = dense_matrix(data, p)
+        f = data.f_n[1:-1, 1:-1].ravel()
+        rows, cols = np.indices(geom.shape)
+        black = ((rows + cols) % 2 == 1)[1:-1, 1:-1].ravel()
+        red = ~black
+        k_rr_inv = 1.0 / np.diag(K)[red]  # red cells couple to black cells only
+        schur = K[np.ix_(black, black)] - K[np.ix_(black, red)] @ (k_rr_inv[:, None] * K[np.ix_(red, black)])
+        rhs = f[black] - K[np.ix_(black, red)] @ (k_rr_inv * f[red])
+        scale = 1.0 / np.sqrt(np.diag(K)[black])
+        unit = scale[:, None] * schur * scale[None, :]
+        y, r = np.zeros_like(rhs), scale * rhs
+        d = r.copy()
+        for k in range(1, 6):
+            ud = unit @ d
+            alpha = (r @ r) / (d @ ud)
+            y = y + alpha * d
+            r_next = r - alpha * ud
+            d = r_next + ((r_next @ r_next) / (r @ r)) * d
+            r = r_next
+            expected = np.empty(len(f))
+            expected[black] = scale * y
+            expected[red] = k_rr_inv * (f[red] - K[np.ix_(red, black)] @ expected[black])
+            with pytest.raises(CgConvergenceError) as err:
+                cg_solve(data, p, CgParams(rel_tol=1e-14, max_iters=k))
+            best = err.value.best[1:-1, 1:-1].ravel()
+            assert np.abs(best - expected).max() <= 1e-12 * np.abs(best).max()
+
+
 def test_cg_warm_start_at_solution_takes_no_iterations():
     rng = np.random.default_rng(17)
     geom = GridGeometry(10, 10)
