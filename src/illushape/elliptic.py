@@ -11,7 +11,7 @@ hold on the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,11 @@ EPS = float(np.finfo(float).eps)
 # rounded down to whole rows (``Operator.schur_plan``): 64 rows, 128 KB an
 # array, at 512^2, so a band's arrays stay in a 2 MB L2 between its passes.
 BAND_CELLS = 2**14
+
+# A start whose reduced residual carries rounding, this many times eps times
+# its norm, above the tolerance leaves the recursive residual at that rounding,
+# not at the true one, so ``cg_solve`` solves once more from its solution.
+START_ROUNDING = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,10 +269,6 @@ class Operator:
             calls += [(np.multiply, c[i:j], x[i + source : j + source], t), (np.add, o, t, o)]
         return calls
 
-    def neighbour_sum(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray, colour: int) -> None:
-        """``out = N x`` over all of ``out``: N_br for ``BLACK``, N_rb for ``RED``."""
-        _run(self.couple(x, out, tmp, colour, 0, len(out)))
-
     def schur_plan(
         self, d: np.ndarray, out: np.ndarray, u: np.ndarray, tmp: np.ndarray, drinv: np.ndarray, d_black: np.ndarray
     ) -> list:
@@ -408,9 +409,10 @@ class Workspace:
     ``grid.rms_diff``, ``apply_operator`` and
     ``solver.euler_lagrange_residual`` take their temporaries from
     ``grids`` before or after the solve, the last also ``z_next``.
-    ``schur`` holds ``cg_solve``'s plan of the product S d over ``compact``
-    (``Operator.schur_plan``), views only, with the operator it was built
-    for; the first solve builds it.
+    ``schur`` holds ``cg_solve``'s three plans over ``compact``, views
+    only, with the operator they were built for: the fold of the red
+    residual into the black one, the product S d (``Operator.schur_plan``)
+    and the back-substitution; the first solve builds them.
 
     Each of those functions takes it as ``work`` and then allocates no grid
     array; without one they allocate their scratch as they go.  Either way
@@ -426,7 +428,7 @@ class Workspace:
         self.compact = tuple(row[:m] for row in slot)
         pairs = slot[:8].reshape(4, -1)
         self.grids = tuple(pair[:n].reshape(geom.shape) for pair in pairs)
-        self.schur: tuple[Operator, list] | None = None  # cg_solve's S d plan and its operator
+        self.schur: tuple[Operator, list, list, list] | None = None  # cg_solve's plans and their operator
 
     def swap(self) -> None:
         """Make ``z_next`` the iterate, and the old iterate's array the next one's."""
@@ -503,8 +505,9 @@ def cg_solve(
     residual is then the full one, and S converges in about half the
     iterations of A, each on half-length vectors.  The loop works in place
     on compact flat buffers, the preconditioned residual doubling as the
-    products' scratch; each product S d runs the workspace's band plan
-    (``Operator.schur_plan``), built on the first solve.  Every reduction is
+    products' scratch.  The fold N_br D_r^-1 r_r, each product S d (band by
+    band, ``Operator.schur_plan``) and the back-substitution run the
+    workspace's plans, built on its first solve.  Every reduction is
     ``_dot``, so repeated solves are bit-identical whatever the BLAS thread
     count.  The returned record has the solve's fields set (see
     ``StepRecord``); its reduced applications count the elimination and the
@@ -515,9 +518,16 @@ def cg_solve(
     right-hand side).  It bounds ||x - u||_inf, u the exact solution: A = L +
     diag(g_n) is diagonally dominant by g_i >= G >= alpha in each interior
     row, so ||A^-1||_inf <= 1 / alpha (Varah 1975).  ``cg_residual`` and
-    ``range_bound`` are read off the recursively updated residual, which can
-    understate the true one near a zero right-hand side: on Kanizsa 64^2's
-    last step the recorded bound is 7.6e-27, the true residual's 8.8e-24.
+    ``range_bound`` are read off the recursively updated residual, which
+    carries the rounding of the start's reduced residual r.  Where
+    ``START_ROUNDING`` eps ||r|| > ``rel_tol`` ||f||, it stalls at that
+    rounding, far below the true residual (937-fold on Kanizsa 64^2's last
+    step, near a zero right-hand side), so the solve runs once more, with
+    the budget left, from its solution x: near the exact one, x leaves a
+    true residual f - A x with little rounding, and the second pass's
+    residual is the one recorded.  The record counts both passes: their
+    iterations, applications of A, and eliminations with
+    back-substitutions.
     ``solver.run`` puts the true residual's bound in the record when a
     step's excursion passes this one.
 
@@ -580,18 +590,19 @@ def cg_solve(
     op.split(r_grid, BLACK, out=rb)  # over ad, whose diagonal is split
     op.split(r_grid, RED, out=u)
     op.split(out, BLACK, out=xb)  # over r, split above
+    if work.schur is None or work.schur[0] is not op:
+        m = len(db)
+        fold = [(np.multiply, u, drinv, u), *op.couple(u, q, zb, BLACK, 0, m), (np.add, rb, q, rb)]
+        back = [*op.couple(xb, u, zb, RED, 0, m), (np.add, u, q, u), (np.multiply, u, drinv, u)]
+        work.schur = op, fold, op.schur_plan(db, q, u, zb, drinv, db_diag), back
+    _, fold, plan, back = work.schur
     # the start's reduced residual r_b + N_br D_r^-1 r_r = f_b + N_br D_r^-1 f_r - S x_b
-    u *= drinv
-    op.neighbour_sum(u, q, zb, BLACK)
-    rb += q
+    _run(fold)
     minv.fill(0.0)
     np.divide(1.0, db_diag, out=minv, where=db_diag > 0.0)  # rim and pad entries stay 0
 
-    if work.schur is None or work.schur[0] is not op:
-        work.schur = op, op.schur_plan(db, q, u, zb, drinv, db_diag)
-    plan = work.schur[1]
-
     r_norm = math.sqrt(_dot(rb, rb))
+    drifts = START_ROUNDING * EPS * r_norm > tol
     k = 0
     breakdown = False
     if r_norm > tol:
@@ -623,15 +634,19 @@ def cg_solve(
             db += zb
             rz = rz_next
     # back-substitute x_r = D_r^-1 (f_r + N_rb x_b), f_r over q
-    op.neighbour_sum(xb, u, zb, RED)
     op.split(data.f_n, RED, out=q)
-    u += q
-    u *= drinv
+    _run(back)
     op.join(xb, BLACK, out)
     op.join(u, RED, out)
     zero_rim(out)
-    if breakdown or r_norm > tol:
+    if breakdown or r_norm > tol or (drifts and k == max_iters):
         raise CgConvergenceError(out.copy(), r_norm / f_norm, k, breakdown)
+    if drifts:  # the recursive residual stalled at the start's rounding: solve again from x
+        out, again = cg_solve(data, p, replace(cg, max_iters=max_iters - k), out, work=work)
+        return out, replace(
+            again, cg_iters=k + again.cg_iters, start_rank=rank, full_applications=full + again.full_applications,
+            reduced_applications=k + 1 + again.reduced_applications,
+        )
     return out, StepRecord(
         cg_iters=k, cg_residual=r_norm / f_norm, start_rank=rank,
         full_applications=full, reduced_applications=k + 1,

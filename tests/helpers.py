@@ -423,6 +423,13 @@ def true_range_bound(solution: np.ndarray, data: LinearizedData, p: ModelParams)
     return float(np.abs(residual[1:-1, 1:-1]).max()) / p.canyon.alpha
 
 
+def true_relative_residual(solution: np.ndarray, data: LinearizedData, p: ModelParams) -> float:
+    """A solve's ``cg_residual`` recomputed from its true residual: the
+    interior 2-norm of f - A x over that of f."""
+    residual = (data.f_n - apply_operator(solution, data, p))[1:-1, 1:-1]
+    return float(np.linalg.norm(residual) / np.linalg.norm(data.f_n[1:-1, 1:-1]))
+
+
 def _field_run(cfg: SolverConfig, ring: StartSubspace | None) -> tuple[PhaseField, IterationReport]:
     z = null_hypothesis(cfg.model.mask)
     report = IterationReport()

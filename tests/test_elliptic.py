@@ -35,6 +35,8 @@ from helpers import (
     random_phase,
     surrogate_target,
     textbook_reduced_pcg,
+    true_range_bound,
+    true_relative_residual,
 )
 
 
@@ -214,31 +216,37 @@ def test_banded_schur_product_matches_the_whole_array_chain():
     elliptic._run(plan)
 
     want, red, scratch = np.empty(m), np.empty(m), np.empty(m)
-    op.neighbour_sum(d, red, scratch, elliptic.RED)
+    elliptic._run(op.couple(d, red, scratch, elliptic.RED, 0, m))
     red *= drinv
-    op.neighbour_sum(red, want, scratch, elliptic.BLACK)
+    elliptic._run(op.couple(red, want, scratch, elliptic.BLACK, 0, m))
     np.subtract(d_black * d, want, out=want)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
-def test_schur_plan_holds_views_only():
-    # every array of a workspace's plan is a view of its compact scratch or of the
-    # operator's couplings, so the plan adds no grid data; it is built on the
-    # first solve, once per workspace and operator
+def test_schur_plan_holds_views_only(monkeypatch):
+    # every array of a workspace's three plans (the fold, S d and the back-
+    # substitution) is a view of its compact scratch or of the operator's
+    # couplings, so the plans add no grid data; they are built on the first
+    # solve, once per workspace and operator
     rng = np.random.default_rng(67)
     geom = GridGeometry(256, 160)
     data, p = random_instance(geom, rng)
     work = Workspace(p)
     assert work.schur is None
     cg_solve(data, p, CgParams(rel_tol=1e-6), work=work)
-    op, plan = work.schur
-    assert op is p.operator
+    op, *plans = work.schur
+    assert op is p.operator and len(plans) == 3
     owners = [*work.compact, op.c_same, *(c for c, _, _ in op.links)]
-    for call in plan:
-        for a in call[1:]:
-            assert any(np.shares_memory(a, owner) for owner in owners)
+    for plan in plans:
+        for call in plan:
+            for a in call[1:]:
+                assert any(np.shares_memory(a, owner) for owner in owners)
+    # a second solve runs the kept plans and builds no call
+    for name in ("couple", "schur_plan"):
+        monkeypatch.setattr(elliptic.Operator, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     cg_solve(data, p, CgParams(rel_tol=1e-6), work=work)
-    assert work.schur[1] is plan
+    assert all(kept is plan for kept, plan in zip(work.schur[1:], plans))
+    monkeypatch.undo()
     # a model of the same grid has other couplings, so a solve with it builds its own
     _, other = random_instance(geom, rng)
     cg_solve(data, other, CgParams(rel_tol=1e-6), work=work)
@@ -670,6 +678,31 @@ def test_cg_residual_contract_on_random_instances():
         )
         assert rel <= cg.rel_tol
         assert stats.cg_residual <= cg.rel_tol
+
+
+def test_a_start_far_above_a_tiny_right_hand_side_meets_the_tolerance():
+    # a right-hand side near 1e-16 and a start near 1e-9, as on a fading run's
+    # last step: the start's residual carries rounding far above rel_tol ||f||,
+    # which the recursive residual keeps, so the solve runs a second pass from
+    # its solution; the recorded and the true relative residual then both meet
+    # the tolerance and agree to 1%, and the two passes share one budget
+    rng = np.random.default_rng(89)
+    geom = GridGeometry(32, 32)
+    cg = CgParams()
+    for _ in range(5):
+        data, p = random_instance(geom, rng)
+        tiny = LinearizedData(data.g_n, data.f_n * 1e-16)
+        warm = zero_rim_field(geom, rng, 0.0, 1e-9)
+        solution, stats = cg_solve(tiny, p, cg, warm_start=warm)
+        assert stats.full_applications == 2 and stats.reduced_applications == stats.cg_iters + 2
+        rel = true_relative_residual(solution, tiny, p)
+        assert rel <= cg.rel_tol and stats.cg_residual <= cg.rel_tol
+        assert abs(stats.cg_residual - rel) <= 0.01 * rel
+        assert stats.range_bound == pytest.approx(true_range_bound(solution, tiny, p), rel=0.01)
+    assert np.array_equal(cg_solve(tiny, p, CgParams(max_iters=stats.cg_iters), warm_start=warm)[0], solution)
+    for max_iters in range(1, stats.cg_iters):
+        with pytest.raises(CgConvergenceError):
+            cg_solve(tiny, p, CgParams(max_iters=max_iters), warm_start=warm)
 
 
 def test_cg_budget_exhaustion_raises_with_best_iterate():
