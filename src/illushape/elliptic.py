@@ -11,7 +11,7 @@ hold on the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +47,6 @@ EPS = float(np.finfo(float).eps)
 # array, at 512^2, so a band's arrays stay in a 2 MB L2 between its passes.
 BAND_CELLS = 2**14
 
-# A start whose reduced residual carries rounding, this many times eps times
-# its norm, above the tolerance leaves the recursive residual at that rounding,
-# not at the true one, so ``cg_solve`` solves once more from its solution.
-START_ROUNDING = 1e3
-
 
 @dataclass(frozen=True, eq=False)
 class LinearizedData:
@@ -86,10 +81,11 @@ class StepRecord:
 
     ``cg_solve`` sets the inner solve's outcome: ``cg_iters``, the
     iterations on the reduced system, ``cg_residual``, ``start_rank``, the
-    number of subspace directions the projected start kept (0 when none ran
-    or it was rejected), and ``full_applications`` and
-    ``reduced_applications``, its applications of the full operator A (and
-    of its diffusion part L) and of the reduced operator S.
+    number of subspace directions the projected start kept (0 when none ran,
+    it was rejected, or the start was dropped for zero), and
+    ``full_applications`` and ``reduced_applications``, its applications
+    of the full operator A (and of its diffusion part L) and of the reduced
+    operator S.
     ``range_bound`` bounds the solution's error in the max norm: the
     solve's bound (see ``cg_solve``), or the true residual's where
     ``solver.run`` looked at it.  ``solver.run``'s step sets the pre-clamp
@@ -299,8 +295,9 @@ class Operator:
 class StartSubspace:
     """Recent iterate differences of an outer run, for ``cg_solve``'s start.
 
-    The differences are held flat with a zero rim, one per row of a (size, N)
-    array: row i holds the i-th one pushed until the ring is full.  After
+    The differences are held with a zero rim, one per row of a (size, H, W)
+    array, the grid of the first push: row i holds the i-th one pushed until
+    the ring is full.  After
     that a push overwrites the row that ``galerkin`` chose at the last
     start: the row that weighs most in a near-null direction of the
     Galerkin matrix when it has one, otherwise the row, never the newest,
@@ -327,15 +324,17 @@ class StartSubspace:
     @property
     def rows(self) -> np.ndarray:
         """The differences held, one flat array per row."""
-        return self.diffs[: self.count]
+        return self.diffs[: self.count].reshape(self.count, -1)
 
     def push(self, new: np.ndarray, old) -> None:
-        """Enter ``new - old`` for a grid array ``new`` (the rim is zeroed)."""
+        """Enter ``new - old`` for a grid array ``new`` (the rim is zeroed) of
+        the first push's shape; another shape raises ``ValueError``."""
         if self.diffs is None:
-            self.diffs = np.empty((self.size, new.size))
+            self.diffs = np.empty((self.size, *new.shape))
+        elif new.shape != self.diffs.shape[1:]:
+            raise ValueError(f"difference of shape {new.shape} and ring of shape {self.diffs.shape[1:]} are different grids")
         slot = (self.newest + 1) % self.size if self.evict is None else self.evict
-        row = self.diffs[slot].reshape(new.shape)  # raises on another grid size
-        zero_rim(np.subtract(new, old, out=row))
+        zero_rim(np.subtract(new, old, out=self.diffs[slot]))
         if slot not in self.stale:
             self.stale.append(slot)
         self.newest, self.evict = slot, None
@@ -493,7 +492,18 @@ def cg_solve(
     galerkin``), when s lowers the inner quadratic x'Ax/2 - f'x, that is
     when s'As/2 < s'r0 with r0 = f - A x0; otherwise it stays at x0.  That
     costs one application of A, one of L per new difference, and no grid
-    array.
+    array.  A start x worse than zero, Q(x) = x'Ax/2 - f'x =
+    -(x'f + x'r)/2 > 0 with r = f - A x, is dropped for zero (two dots),
+    so the solve starts from the best of x0 + s, x0 and 0 in the A-norm.
+    The start's residual carries rounding, about eps ||A|| ||x||, that the
+    recursive residual does not see and the true one keeps.  A kept start
+    has ||x - u||_A <= ||u||_A, u the exact solution, so ||x|| <= 2 ||f|| /
+    lambda_min(A) and its rounding is at most about 2 eps kappa(A) ||f||,
+    twice the bound on the exact solution's own; a start far above the
+    solution near a zero right-hand side, as on a fading run's last steps,
+    is dropped.  The rule covers starts worse than zero only: where
+    ``rel_tol`` is below that bound, a kept start's rounding can exceed
+    ``rel_tol`` ||f||, and the solve does not detect it.
 
     Every solve with a nonzero right-hand side then eliminates the red
     cells: with A = [[D_r, -N_rb], [-N_br, D_b]], CG solves the Schur
@@ -518,16 +528,7 @@ def cg_solve(
     right-hand side).  It bounds ||x - u||_inf, u the exact solution: A = L +
     diag(g_n) is diagonally dominant by g_i >= G >= alpha in each interior
     row, so ||A^-1||_inf <= 1 / alpha (Varah 1975).  ``cg_residual`` and
-    ``range_bound`` are read off the recursively updated residual, which
-    carries the rounding of the start's reduced residual r.  Where
-    ``START_ROUNDING`` eps ||r|| > ``rel_tol`` ||f||, it stalls at that
-    rounding, far below the true residual (937-fold on Kanizsa 64^2's last
-    step, near a zero right-hand side), so the solve runs once more, with
-    the budget left, from its solution x: near the exact one, x leaves a
-    true residual f - A x with little rounding, and the second pass's
-    residual is the one recorded.  The record counts both passes: their
-    iterations, applications of A, and eliminations with
-    back-substitutions.
+    ``range_bound`` are read off the recursively updated residual.
     ``solver.run`` puts the true residual's bound in the record when a
     step's excursion passes this one.
 
@@ -538,9 +539,10 @@ def cg_solve(
     geom = p.geometry
     if warm_start is not None:
         warm_start = _grid_array(warm_start, geom.shape)
+    if subspace is not None and subspace.count and subspace.diffs.shape[1:] != geom.shape:
+        raise ValueError(f"subspace of shape {subspace.diffs.shape[1:]} and grid {geom.shape} are different grids")
     if work is None:
         work = Workspace(p)
-    n = geom.cells
     op = p.operator
     g = data.g_n.ravel()
     r_grid, ad_grid, face_grid = work.grids[:3]
@@ -552,8 +554,6 @@ def cg_solve(
     if f_norm == 0.0:
         out.fill(0.0)
         return out, StepRecord()
-    if subspace is not None and subspace.count and subspace.rows.shape[1] != n:
-        raise ValueError(f"subspace of {subspace.rows.shape[1]} cells and grid {geom.shape} are different grids")
 
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     x = out.ravel()
@@ -576,6 +576,12 @@ def cg_solve(
                 x += ad
             else:
                 rank = 0
+    # Q(x) = x'Ax/2 - f'x = -(x'f + x'r)/2; f's rim meets x's zero one
+    if _dot(x, data.f_n.ravel()) + _dot(x, r) < 0.0:  # x is worse than 0: start there
+        x.fill(0.0)
+        np.copyto(r_grid, data.f_n)
+        zero_rim(r_grid)
+        rank = 0
     tol = cg.rel_tol * f_norm
 
     # the nine compact arrays: xb and q over r, rb and u over ad, zb and minv
@@ -602,7 +608,6 @@ def cg_solve(
     np.divide(1.0, db_diag, out=minv, where=db_diag > 0.0)  # rim and pad entries stay 0
 
     r_norm = math.sqrt(_dot(rb, rb))
-    drifts = START_ROUNDING * EPS * r_norm > tol
     k = 0
     breakdown = False
     if r_norm > tol:
@@ -639,14 +644,8 @@ def cg_solve(
     op.join(xb, BLACK, out)
     op.join(u, RED, out)
     zero_rim(out)
-    if breakdown or r_norm > tol or (drifts and k == max_iters):
+    if breakdown or r_norm > tol:
         raise CgConvergenceError(out.copy(), r_norm / f_norm, k, breakdown)
-    if drifts:  # the recursive residual stalled at the start's rounding: solve again from x
-        out, again = cg_solve(data, p, replace(cg, max_iters=max_iters - k), out, work=work)
-        return out, replace(
-            again, cg_iters=k + again.cg_iters, start_rank=rank, full_applications=full + again.full_applications,
-            reduced_applications=k + 1 + again.reduced_applications,
-        )
     return out, StepRecord(
         cg_iters=k, cg_residual=r_norm / f_norm, start_rank=rank,
         full_applications=full, reduced_applications=k + 1,

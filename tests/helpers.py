@@ -246,8 +246,9 @@ def textbook_reduced_pcg(
     """Jacobi PCG on the red-black reduced system as written in the textbooks,
     allocating on 2-D arrays, which it takes and returns.
 
-    The reference for ``cg_solve``: the same full-space start, stopping rule,
-    work counts, range bound and ``CgConvergenceError``.  With red cells
+    The reference for ``cg_solve``: the same full-space start, dropped for
+    zero where the inner quadratic is above zero's, stopping rule, work
+    counts, range bound and ``CgConvergenceError``.  With red cells
     i + j even and black cells i + j odd, A = [[D_r, -N_rb], [-N_br, D_b]];
     CG runs on the Schur complement S = D_b - N_br D_r^-1 N_rb,
     preconditioned by D_b, the black block of A's diagonal (Hageman &
@@ -292,6 +293,8 @@ def textbook_reduced_pcg(
     max_iters = cg.max_iters if cg.max_iters is not None else 10 * geom.cells
     tol = cg.rel_tol * f_norm
     r = f - flux_apply(x, cx, cy, g)
+    if _dot(x.ravel(), f.ravel()) + _dot(x.ravel(), r.ravel()) < 0.0:  # Q(x) > Q(0): start from zero
+        x, r = np.zeros(geom.shape), f
 
     diag = flux_diagonal(cx, cy, g)
     dinv_red = np.where(inner & ~black, 1.0 / diag, 0.0)

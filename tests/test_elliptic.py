@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from illushape import (
+    CanyonField,
     CgConvergenceError,
     CgParams,
     GridField,
     GridGeometry,
     LinearizedData,
+    ModelParams,
     StartSubspace,
     Workspace,
     apply_operator,
@@ -31,6 +33,7 @@ from helpers import (
     flux_diagonal,
     flat_model,
     random_instance,
+    random_mask,
     random_model,
     random_phase,
     surrogate_target,
@@ -171,6 +174,12 @@ def interior(a):
     return a[1:-1, 1:-1].ravel()
 
 
+def near_start(data, p, rng):
+    """A start that beats zero: the dense solution, each cell off by up to 10%."""
+    u = dense_solve_oracle(data, p)
+    return GridField(p.geometry, zero_rim(u * rng.uniform(0.9, 1.1, size=u.shape)))
+
+
 def assert_same_solve(got, expected):
     (x, stats), (x_ref, stats_ref) = got, expected
     assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
@@ -187,18 +196,26 @@ def test_cg_matches_textbook_pcg_bitwise(monkeypatch):
             monkeypatch.setattr(elliptic, "BAND_CELLS", band)
             data, p = random_instance(geom, rng)
             cg = CgParams(rel_tol=float(rng.choice([1e-6, 1e-10])))
-            assert_same_solve(cg_solve(data, p, cg), textbook_reduced_pcg(data, p, cg))
-            warm = zero_rim_field(geom, rng, 0.0, 1.0)
-            expected = textbook_reduced_pcg(data, p, cg, warm_start=warm)
-            assert_same_solve(cg_solve(data, p, cg, warm_start=warm), expected)
-            # a zero subspace keeps no direction: the plain warm start, bit for bit,
-            # for one more application (of L) per difference
-            zeros = subspace_of([np.zeros(geom.shape)] * 2)
-            x, stats = cg_solve(data, p, cg, warm_start=warm, subspace=zeros)
-            assert_same_solve(
-                (x, dataclasses.replace(stats, full_applications=stats.full_applications - 2)),
-                expected,
-            )
+            cold = cg_solve(data, p, cg)
+            assert_same_solve(cold, textbook_reduced_pcg(data, p, cg))
+            # a uniform [0, 1] start is worse than zero here and is dropped for it;
+            # one near the solution beats zero and is kept
+            for warm, kept in ((zero_rim_field(geom, rng, 0.0, 1.0), False), (near_start(data, p, rng), True)):
+                expected = textbook_reduced_pcg(data, p, cg, warm_start=warm)
+                got = cg_solve(data, p, cg, warm_start=warm)
+                assert_same_solve(got, expected)
+                if kept:
+                    assert not np.array_equal(got[0], cold[0])
+                else:
+                    assert_same_solve(got, cold)
+                # a zero subspace keeps no direction: the plain warm start, bit for
+                # bit, for one more application (of L) per difference
+                zeros = subspace_of([np.zeros(geom.shape)] * 2)
+                x, stats = cg_solve(data, p, cg, warm_start=warm, subspace=zeros)
+                assert_same_solve(
+                    (x, dataclasses.replace(stats, full_applications=stats.full_applications - 2)),
+                    expected,
+                )
 
 
 def test_banded_schur_product_matches_the_whole_array_chain():
@@ -433,8 +450,12 @@ def test_cg_warm_start_at_solution_takes_no_iterations():
 
 def test_projected_start_is_the_galerkin_minimizer():
     # theta solves (D'KD) theta = D'(b - K x0) against the dense oracle K, so
-    # z_n + D theta minimizes the inner quadratic over z_n + span(D)
+    # x0 + D theta minimizes the inner quadratic over x0 + span(D); the solve
+    # starts there when that is below zero's quadratic, 0, and from zero
+    # otherwise.  A random warm start in [0, 1] is far worse than zero here,
+    # and from zero itself the projection always beats it
     rng = np.random.default_rng(61)
+    kept = set()
     for geom in (GridGeometry(12, 10), GridGeometry(9, 14)):
         for k in (1, 3, 6):
             for _ in range(5):
@@ -448,23 +469,41 @@ def test_projected_start_is_the_galerkin_minimizer():
                 warm = zero_rim_field(geom, rng, 0.0, 1.0)
                 # the ring zeroes the rim the interior-only oracle does not see
                 columns = [rng.uniform(-1.0, 1.0, size=geom.shape) for _ in range(k)]
-                space = subspace_of(columns, size=6)
-                theta, rank, applied = galerkin_start(data, p, warm, space)
-                assert rank == applied == k
-                D = np.stack([interior(c) for c in columns], axis=1)
-                x0 = interior(warm.values)
-                want = np.linalg.solve(D.T @ K @ D, D.T @ (b - K @ x0))
-                assert np.allclose(theta, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
-                start = q(x0 + D @ theta)
-                assert start <= q(x0) + 1e-12 * (1.0 + abs(q(x0)))
-                for _ in range(3):
-                    perturbed = theta * (1.0 + 0.1 * rng.standard_normal(k))
-                    assert start <= q(x0 + D @ perturbed) + 1e-12 * (1.0 + abs(start))
-                # the solve starts there; the ring kept its L Gram, so the solve
-                # applies A only to the start and to the step
-                _, stats = cg_solve(data, p, CgParams(), warm_start=warm, subspace=space)
-                assert stats.start_rank == k
-                assert stats.full_applications == 2
+                for x0_field in (warm, GridField.zeros(geom)):
+                    space = subspace_of(columns, size=6)
+                    theta, rank, applied = galerkin_start(data, p, x0_field, space)
+                    assert rank == applied == k
+                    D = np.stack([interior(c) for c in columns], axis=1)
+                    x0 = interior(x0_field.values)
+                    want = np.linalg.solve(D.T @ K @ D, D.T @ (b - K @ x0))
+                    assert np.allclose(theta, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+                    start = q(x0 + D @ theta)
+                    assert start <= q(x0) + 1e-12 * (1.0 + abs(q(x0)))
+                    for _ in range(3):
+                        perturbed = theta * (1.0 + 0.1 * rng.standard_normal(k))
+                        assert start <= q(x0 + D @ perturbed) + 1e-12 * (1.0 + abs(start))
+                    # the ring kept its L Gram, so the solve applies A only to the
+                    # start and to the step
+                    _, stats = cg_solve(data, p, CgParams(), warm_start=x0_field, subspace=space)
+                    assert stats.start_rank == (k if start < 0.0 else 0)
+                    assert stats.full_applications == 2
+                    kept.add(stats.start_rank > 0)
+    assert kept == {True, False}
+
+
+def test_ring_holds_one_grid_shape():
+    # a 16x8 ring's flat rows have the 128 cells of an 8x16 grid too: the ring
+    # keeps its first push's shape, a push of another shape raises and leaves
+    # the ring as it was, and so does a solve on another grid
+    rng = np.random.default_rng(97)
+    wide, tall = GridGeometry(16, 8), GridGeometry(8, 16)
+    space = subspace_of([zero_rim_field(wide, rng).values for _ in range(2)], size=4)
+    with pytest.raises(ValueError, match="different grids"):
+        space.push(zero_rim_field(tall, rng).values, 0.0)
+    assert space.diffs.shape[1:] == wide.shape and space.count == 2 and space.newest == 1
+    data, p = random_instance(tall, rng)
+    with pytest.raises(ValueError, match="different grids"):
+        cg_solve(data, p, subspace=space)
 
 
 def test_ring_keeps_the_last_differences():
@@ -581,7 +620,9 @@ def test_rank_deficient_subspaces_start_no_worse():
     # a zero column, a duplicate and two nearly parallel columns: the Gram is
     # singular or nearly so, and the start must neither fail nor lose to z_n;
     # the near-null direction of u and u + 1e-6 v is kept (theta ~ 1e4), that
-    # of u and u + 1e-9 v dropped
+    # of u and u + 1e-9 v dropped.  From a start near the solution, which
+    # beats zero, every projected start is kept; from a uniform [0, 1] one it
+    # may be dropped for zero
     rng = np.random.default_rng(79)
     geom = GridGeometry(11, 13)
     for _ in range(5):
@@ -589,41 +630,48 @@ def test_rank_deficient_subspaces_start_no_worse():
         K = dense_matrix(data, p)
         b = interior(data.f_n)
         reference = dense_solve_oracle(data, p)
-        warm = zero_rim_field(geom, rng, 0.0, 1.0)
         u, v, w = (zero_rim_field(geom, rng).values for _ in range(3))
-        for columns, want_rank in (
-            ([u, np.zeros(geom.shape), v], 2),
-            ([u, v, u.copy()], 2),
-            ([u, zero_rim(u + 1e-6 * v), w], 3),
-            ([u, zero_rim(u + 1e-9 * v), w], 2),
-            ([np.zeros(geom.shape)], 0),
-        ):
-            space = subspace_of(columns, size=6)
-            theta, rank, _ = galerkin_start(data, p, warm, space)
-            assert np.all(np.isfinite(theta))
-            assert rank == want_rank
-            D = np.stack([interior(c) for c in columns], axis=1)
-            x0 = interior(warm.values)
+        for warm, near in ((zero_rim_field(geom, rng, 0.0, 1.0), False), (near_start(data, p, rng), True)):
+            for columns, want_rank in (
+                ([u, np.zeros(geom.shape), v], 2),
+                ([u, v, u.copy()], 2),
+                ([u, zero_rim(u + 1e-6 * v), w], 3),
+                ([u, zero_rim(u + 1e-9 * v), w], 2),
+                ([np.zeros(geom.shape)], 0),
+            ):
+                space = subspace_of(columns, size=6)
+                theta, rank, _ = galerkin_start(data, p, warm, space)
+                assert np.all(np.isfinite(theta))
+                assert rank == want_rank
+                D = np.stack([interior(c) for c in columns], axis=1)
+                x0 = interior(warm.values)
 
-            def q(x):
-                return 0.5 * x @ K @ x - b @ x
+                def q(x):
+                    return 0.5 * x @ K @ x - b @ x
 
-            solution, stats = cg_solve(data, p, CgParams(), warm_start=warm, subspace=space)
-            assert np.abs(solution - reference).max() <= 1e-8
-            # a kept start is never worse than z_n; a worse one is dropped
-            assert stats.start_rank in (0, rank)
-            if stats.start_rank:
-                assert q(x0 + D @ theta) <= q(x0)
+                solution, stats = cg_solve(data, p, CgParams(), warm_start=warm, subspace=space)
+                assert np.abs(solution - reference).max() <= 1e-8
+                # a kept start is never worse than z_n; a worse one is dropped
+                assert stats.start_rank == rank if near else stats.start_rank in (0, rank)
+                if stats.start_rank:
+                    assert q(x0 + D @ theta) <= q(x0)
 
 
 def test_start_that_raises_the_quadratic_is_dropped(monkeypatch):
     # theta reversed raises the quadratic by 3/2 theta'D'r0 > 0: the safeguard
-    # sees it from the applied A D theta and starts at z_n instead
+    # sees it from the applied A D theta and starts at z_n instead.  Near the
+    # solution z_n and the reversed start both beat zero, so only the
+    # safeguard keeps the solve from the reversed start, and it runs from z_n,
+    # not from zero; a uniform [0, 1] z_n is worse than zero and dropped for it
     rng = np.random.default_rng(83)
     geom = GridGeometry(12, 12)
     data, p = random_instance(geom, rng)
-    warm = zero_rim_field(geom, rng, 0.0, 1.0)
-    space = subspace_of([zero_rim_field(geom, rng).values for _ in range(3)])
+    columns = [zero_rim_field(geom, rng).values for _ in range(3)]
+    far, near = zero_rim_field(geom, rng, 0.0, 1.0), near_start(data, p, rng)
+    K, b = dense_matrix(data, p), interior(data.f_n)
+    theta, _, _ = galerkin_start(data, p, near, subspace_of(columns))
+    reversed_start = interior(near.values) - np.stack([interior(c) for c in columns], axis=1) @ theta
+    assert 0.5 * reversed_start @ K @ reversed_start < b @ reversed_start
     galerkin = StartSubspace.galerkin
 
     def reversed_galerkin(self, *args):
@@ -631,11 +679,14 @@ def test_start_that_raises_the_quadratic_is_dropped(monkeypatch):
         return -theta, rank, applied
 
     monkeypatch.setattr(StartSubspace, "galerkin", reversed_galerkin)
-    x, stats = cg_solve(data, p, warm_start=warm, subspace=space)
-    assert stats.start_rank == 0
-    # three applications of L and one of A to the dropped step
-    expected = textbook_reduced_pcg(data, p, warm_start=warm)
-    assert_same_solve((x, dataclasses.replace(stats, full_applications=stats.full_applications - 4)), expected)
+    cold = textbook_reduced_pcg(data, p)
+    for warm, kept in ((near, True), (far, False)):
+        x, stats = cg_solve(data, p, warm_start=warm, subspace=subspace_of(columns))
+        assert stats.start_rank == 0
+        # three applications of L and one of A to the dropped step
+        expected = textbook_reduced_pcg(data, p, warm_start=warm)
+        assert_same_solve((x, dataclasses.replace(stats, full_applications=stats.full_applications - 4)), expected)
+        assert np.array_equal(expected[0], cold[0]) != kept
 
 
 def test_cg_subspace_adds_no_grid_array():
@@ -655,7 +706,7 @@ def test_cg_subspace_adds_no_grid_array():
             tracemalloc.stop()
 
     with_space, stats = peak(subspace=space)
-    assert stats.start_rank == 6
+    assert stats.full_applications == 8  # the start, six new differences' L, and the step
     # the small system's few arrays only; one grid array here is 32 KiB
     assert with_space <= peak()[0] + 4096
 
@@ -682,10 +733,11 @@ def test_cg_residual_contract_on_random_instances():
 
 def test_a_start_far_above_a_tiny_right_hand_side_meets_the_tolerance():
     # a right-hand side near 1e-16 and a start near 1e-9, as on a fading run's
-    # last step: the start's residual carries rounding far above rel_tol ||f||,
-    # which the recursive residual keeps, so the solve runs a second pass from
-    # its solution; the recorded and the true relative residual then both meet
-    # the tolerance and agree to 1%, and the two passes share one budget
+    # last step: the start's residual would carry rounding far above
+    # rel_tol ||f||, which the recursive residual does not see, but its
+    # quadratic is far above zero's, so the solve drops it and is the cold
+    # solve bit for bit, in one pass; the recorded and the true relative
+    # residual both meet the tolerance and agree to 1e-3
     rng = np.random.default_rng(89)
     geom = GridGeometry(32, 32)
     cg = CgParams()
@@ -694,25 +746,74 @@ def test_a_start_far_above_a_tiny_right_hand_side_meets_the_tolerance():
         tiny = LinearizedData(data.g_n, data.f_n * 1e-16)
         warm = zero_rim_field(geom, rng, 0.0, 1e-9)
         solution, stats = cg_solve(tiny, p, cg, warm_start=warm)
-        assert stats.full_applications == 2 and stats.reduced_applications == stats.cg_iters + 2
+        assert_same_solve((solution, stats), cg_solve(tiny, p, cg))
+        assert stats.full_applications == 1 and stats.reduced_applications == stats.cg_iters + 1
         rel = true_relative_residual(solution, tiny, p)
         assert rel <= cg.rel_tol and stats.cg_residual <= cg.rel_tol
-        assert abs(stats.cg_residual - rel) <= 0.01 * rel
-        assert stats.range_bound == pytest.approx(true_range_bound(solution, tiny, p), rel=0.01)
+        assert abs(stats.cg_residual - rel) <= 1e-3 * rel
+        assert stats.range_bound == pytest.approx(true_range_bound(solution, tiny, p), rel=1e-3)
     assert np.array_equal(cg_solve(tiny, p, CgParams(max_iters=stats.cg_iters), warm_start=warm)[0], solution)
     for max_iters in range(1, stats.cg_iters):
         with pytest.raises(CgConvergenceError):
             cg_solve(tiny, p, CgParams(max_iters=max_iters), warm_start=warm)
 
 
+def test_a_kept_start_large_against_the_solution_meets_the_tolerance():
+    # the rule keeps a start x with Q(x) < 0, that is ||x - u||_A < ||u||_A,
+    # which still lets x be large against u: u + e, e a smooth bump of A-norm
+    # 0.99 ||u||_A, with u rough (a checkerboard right-hand side) and a canyon
+    # floor of 1e-4 (kappa(A) near 650), makes x 5.9-7.0 times u.  Its
+    # rounding stays below 2 eps kappa(A) ||f||, so at rel_tol 1e-10 and 1e-12,
+    # at f's own scale and at 1e-16 of it, the recorded residual and bound
+    # agree with the true ones to 1% (measured: 1.5e-4 and 9.8e-4 at most)
+    rng = np.random.default_rng(101)
+    geom = GridGeometry(48, 48)
+    i, j = np.indices(geom.shape)
+    mode = (i * (geom.height - 1 - i) * j * (geom.width - 1 - j)).astype(float)
+    for _ in range(3):
+        canyon = CanyonField(geom, rng.uniform(1e-4, 1.0001, size=geom.shape), alpha=1e-4, beta=1.0)
+        p = ModelParams(epsilon=0.25, lam=1.0, canyon=canyon, mask=random_mask(geom, rng))
+        g_n = linearize(np.zeros(geom.shape), p).g_n
+        f_n = np.where((i + j) % 2, 1.0, -1.0) * rng.uniform(0.5, 1.0, size=geom.shape)
+        for scale in (1.0, 1e-16):
+            data = LinearizedData(g_n, scale * f_n)
+
+            def a_dot(x, y):
+                return float(np.sum(x * apply_operator(y, data, p)))
+
+            u = cg_solve(data, p, CgParams(rel_tol=1e-15))[0].copy()
+            x = u + 0.99 * math.sqrt(a_dot(u, u) / a_dot(mode, mode)) * mode
+            assert a_dot(x, x) < 2.0 * np.sum(data.f_n * x)  # Q(x) < 0
+            assert np.linalg.norm(x) >= 5.0 * np.linalg.norm(u)
+            for rel_tol in (1e-10, 1e-12):
+                cg = CgParams(rel_tol=rel_tol)
+                cold = cg_solve(data, p, cg)[0].copy()
+                solution, stats = cg_solve(data, p, cg, warm_start=x)
+                assert not np.array_equal(solution, cold)  # the start was kept
+                rel = true_relative_residual(solution, data, p)
+                assert stats.cg_residual <= rel_tol
+                assert abs(stats.cg_residual - rel) <= 0.01 * rel
+                assert stats.range_bound == pytest.approx(true_range_bound(solution, data, p), rel=0.01)
+
+
 def test_cg_budget_exhaustion_raises_with_best_iterate():
+    # a uniform [0, 1] start is worse than zero and dropped for it, one near
+    # the solution is kept: the best iterate is then not the cold solve's
     rng = np.random.default_rng(23)
     geom = GridGeometry(16, 16)
-    for max_iters, warm in ((2, None), (1, zero_rim_field(geom, rng, 0.0, 1.0)), (7, None)):
+    for max_iters, start in ((2, None), (1, "far"), (1, "near"), (7, None)):
         data, p = random_instance(geom, rng)
+        warm = None
+        if start == "far":
+            warm = zero_rim_field(geom, rng, 0.0, 1.0)
+        elif start == "near":
+            warm = near_start(data, p, rng)
         cg = CgParams(rel_tol=1e-12, max_iters=max_iters)
         with pytest.raises(CgConvergenceError) as err:
             cg_solve(data, p, cg, warm_start=warm)
+        with pytest.raises(CgConvergenceError) as cold:
+            cg_solve(data, p, cg)
+        assert np.array_equal(err.value.best, cold.value.best) == (start != "near")
         assert err.value.iterations == max_iters
         assert err.value.residual > 0.0
         assert err.value.best.shape == geom.shape

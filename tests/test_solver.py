@@ -272,27 +272,26 @@ def test_run_with_one_row_bands_matches_the_default_run(make_mask, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make_mask, rel_tol, restarted",
+    "make_mask, rel_tol",
     [
-        (lambda: kanizsa_triangle(64, 64), 1e-10, [86]),
-        (lambda: kanizsa_triangle(64, 64), 1e-6, []),
-        (lambda: illusory_disk(101, 97), 1e-10, []),
-        (lambda: illusory_disk(101, 97), 1e-6, []),
+        (lambda: kanizsa_triangle(64, 64), 1e-10),
+        (lambda: kanizsa_triangle(64, 64), 1e-6),
+        (lambda: illusory_disk(101, 97), 1e-10),
+        (lambda: illusory_disk(101, 97), 1e-6),
     ],
     ids=["kanizsa-64", "kanizsa-64-cgtol6", "disk-101x97", "disk-101x97-cgtol6"],
 )
-def test_range_bound_certifies_every_step(make_mask, rel_tol, restarted, monkeypatch):
-    # every step's excursion lies within the solve's bound; the bound never
-    # understates the true residual's by more than 1%, and the recorded
-    # relative residual agrees with the true one to 1%, both within the
-    # tolerance, also where the start's residual carries rounding above the
-    # tolerance: Kanizsa 64^2 fades to zero, its last step's right-hand side
-    # is below 1e-16, and that solve runs a second pass from its solution.
-    # Overstating is the safe side, and there the max norm sees the start's
-    # rounding more sharply than the 2-norm that decides a second pass (1.7%
-    # on Kanizsa 64^2's last step at 1e-6, near 1e-23).  Every pass, however
-    # good its start, ends in the reduced system: one reduced application for
-    # its elimination and back-substitution beside one per iteration
+def test_range_bound_certifies_every_step(make_mask, rel_tol, monkeypatch):
+    # every step's excursion lies within the solve's bound, which agrees with
+    # the true residual's bound to 1e-3, and the recorded relative residual
+    # agrees with the true one to 1e-3, both within the tolerance; that holds
+    # near a zero right-hand side too, where a start far above the solution
+    # would leave its rounding in the true residual alone: Kanizsa 64^2 fades
+    # to zero, its last steps' right-hand sides fall below 1e-16, and their
+    # solves drop the warm start for zero.  Every solve, however good its
+    # start, is one pass ending in the reduced system: one reduced
+    # application for its elimination and back-substitution beside one per
+    # iteration
     cfg = SolverConfig(model=default_model(make_mask()), cg=CgParams(rel_tol=rel_tol))
     real_cg_solve = solver.cg_solve
     seen = []
@@ -310,11 +309,10 @@ def test_range_bound_certifies_every_step(make_mask, rel_tol, restarted, monkeyp
     assert [s.range_bound for s in report.steps] == [bound for _, bound, *_ in seen]
     assert all(excursion <= bound for excursion, bound, *_ in seen)
     assert all(max(-s.pre_clamp_min, s.pre_clamp_max - 1.0) <= s.range_bound for s in report.steps)
-    assert all(0.99 * true <= bound <= 1.01 * true + 1e-12 for _, bound, true, *_ in seen)
-    assert all(abs(residual - true) <= 0.01 * true and true <= rel_tol for *_, residual, true in seen)
+    assert all(abs(bound - true) <= 1e-3 * true for _, bound, true, *_ in seen)
+    assert all(abs(residual - true) <= 1e-3 * true and true <= rel_tol for *_, residual, true in seen)
     assert max(bound for _, bound, *_ in seen) > 10.0 * rel_tol  # not all at the rounding floor
-    passes = [s.reduced_applications - s.cg_iters for s in report.steps]
-    assert set(passes) <= {1, 2} and [s.iter for s, n in zip(report.steps, passes) if n == 2] == restarted
+    assert all(s.reduced_applications == s.cg_iters + 1 for s in report.steps)
 
 
 def _solve_counter(monkeypatch, patch=None):
