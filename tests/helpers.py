@@ -459,9 +459,9 @@ def _field_run(cfg: SolverConfig, ring: StartSubspace | None) -> tuple[PhaseFiel
 def reference_p2_raster(data: bytes, pos: int, n: int, maxval: int) -> np.ndarray:
     """``cli._p2_raster`` as a loop of one ``_TOKEN`` match and one ``int`` per sample.
 
-    The reference for the blocked numpy reader: the same samples, and a
-    ``PgmFormatError`` with the same message for a bad sample, a truncated
-    raster or a sample above ``maxval``.
+    The reference for the reader that parses with ``np.fromstring``: the same
+    samples, and a ``PgmFormatError`` with the same message for a bad sample,
+    a truncated raster or a sample above ``maxval``.
     """
     # empty tokens come only at the end, so dropping them leaves a short list
     samples = filter(None, (m[1] for m in islice(_TOKEN.finditer(data, pos), n)))

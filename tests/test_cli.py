@@ -48,7 +48,11 @@ def test_p2_parsing_with_comments(tmp_path):
     assert (w, h) == (3, 2)
     assert np.array_equal(pixels, np.array([[0, 64, 128], [192, 255, 7]], dtype=np.uint8))
     # a comment between raster samples, and one straight after the last sample at EOF
-    for raster in ("0 64 # mid-raster\n128\n192 255 7\n", "0 64 128\n192 255 7 # at EOF, no newline"):
+    for raster in (
+        "0 64 # mid-raster\n128\n192 255 7\n",
+        "0 64 128\n192 255 7 # at EOF, no newline",
+        "0 64 128\n192 255 7 x#y -3\n",  # tokens after the last sample are not read
+    ):
         path.write_text(f"P2\n3 2\n255\n{raster}", encoding="ascii")
         assert np.array_equal(read_pgm(path)[2], pixels)
     # leading zeros beyond int()'s 4,300-digit limit, in a sample and in the height
@@ -74,9 +78,8 @@ def _outcome(read, path):
 
 
 def test_p2_raster_across_blocks(tmp_path):
-    """A raster of several blocks, with a comment open across the first block
-    boundary and a CRLF split by the second, reads like the reference."""
-    block = cli._P2_BLOCK
+    """A long raster, with a comment of over 64 KiB, CRLF pairs and a zero-padded
+    sample, and a small one with comments, CRLFs and a tab, read like the reference."""
     rng = np.random.default_rng(3)
     samples = rng.integers(0, 256, size=(200, 256))
     tokens = iter(str(v).encode() for v in samples.ravel())
@@ -86,26 +89,20 @@ def test_p2_raster_across_blocks(tmp_path):
         while len(body) + 5 < offset:
             body.extend(b" " + next(tokens))
 
-    # a block ends just after the first whitespace byte at least one block on
-    fill_to(block - 8)
-    body.extend(b" #" + b"c" * (block - 1 - len(body) - 2) + b" comment\r\n")
-    assert body[block - 1 : block] == b" "  # inside the comment
-    fill_to(2 * block - 8)
-    # a zero-padded sample runs up to the boundary, which falls between CR and LF
-    body.extend(b" " + b"0" * (2 * block - 1 - len(body) - 4) + next(tokens).rjust(3, b"0") + b"\r\n")
-    assert body[2 * block - 1 : 2 * block + 1] == b"\r\n"
+    long_comment = 1 << 16
+    fill_to(long_comment)
+    body.extend(b" #" + b"c" * long_comment + b" comment\r\n")
+    fill_to(3 * long_comment)
+    body.extend(b" " + b"0" * long_comment + next(tokens).rjust(3, b"0") + b"\r\n")
     body.extend(b"".join(b"\n" + t for t in tokens) + b"\n")
     path = tmp_path / "long.pgm"
     path.write_bytes(b"P2\n256 200\n255" + bytes(body))
-    assert len(body) > 2 * block  # three blocks
     assert np.array_equal(read_pgm(path)[2], samples)
     assert np.array_equal(_read_with_reference(path)[2], samples)
-    # at every small block size, comments and CRLFs fall on block boundaries
     small = tmp_path / "small.pgm"
     small.write_bytes(b"P2 # a\r\n3 2\n255\r\n0 64 # mid-raster #\r\n\r\n# 9\n128\t192\r\n255 7 # end")
-    for size in range(1, 24):
-        with mock.patch.object(cli, "_P2_BLOCK", size):
-            assert np.array_equal(read_pgm(small)[2], [[0, 64, 128], [192, 255, 7]])
+    for read in (read_pgm, _read_with_reference):
+        assert np.array_equal(read(small)[2], [[0, 64, 128], [192, 255, 7]])
 
 
 def test_rejects_non_pgm_and_wide_samples(tmp_path):
@@ -141,6 +138,12 @@ def test_rejects_non_pgm_and_wide_samples(tmp_path):
         # more digits than int() reads by default
         b"P2\n2 " + b"1" * 5000 + b"\n255\n0 1 2 3\n",
         b"P2\n2 2\n255\n0 1 2 " + b"1" * 5000 + b"\n",
+        # beyond 64 bits, where a wrapping parse would read a negative sample or 7
+        b"P2\n2 2\n255\n0 1 2 " + str(2**63 + 7).encode() + b"\n",
+        b"P2\n2 2\n255\n0 1 2 " + str(2**64 + 7).encode() + b"\n",
+        # a raster of whitespace only is truncated, not one sample 0; so is none at all
+        b"P2\n1 1\n255\n \t\r\n",
+        b"P2\n1 1\n255",
     ):
         plain.write_bytes(data)
         with pytest.raises(PgmFormatError):
