@@ -42,7 +42,6 @@ from .solver import (
     default_model,
     euler_lagrange_residual,
     null_hypothesis,
-    presmooth,
     run,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "linearize",
     "mollify",
     "null_hypothesis",
-    "presmooth",
     "rms_diff",
     "run",
     "total_energy",

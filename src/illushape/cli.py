@@ -23,8 +23,6 @@ from .solver import (
     SolverConfig,
     StepRecord,
     default_model,
-    null_hypothesis,
-    presmooth,
     run,
 )
 
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-outer", type=int, default=5000, help="outer iteration budget")
     parser.add_argument("--cg-tol", type=float, default=1e-10, help="inner relative residual tolerance")
     parser.add_argument("--threshold", type=float, default=0.5, help="shape threshold")
-    parser.add_argument("--presmooth", type=int, default=0, help="heat steps applied to the initial guess")
     parser.add_argument("--snapshot-every", type=int, default=0, help="write snap_NNNNNN.pgm every N iterations")
     parser.add_argument("--progress", type=int, default=0, help="write a JSON progress line to stderr every N iterations")
     parser.add_argument("--invert", action="store_true", help="treat light pixels as inducers")
@@ -239,8 +236,6 @@ def run_command(argv=None) -> int:
         for flag in ("snapshot_every", "progress"):
             if getattr(args, flag) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
-        # a list, so that run() holds the only reference and frees the first iterate after a step
-        initial = [presmooth(null_hypothesis(mask), args.presmooth)]
     except (OSError, ValueError) as exc:
         print(f"illushape: {exc}", file=sys.stderr)
         return 1
@@ -272,7 +267,7 @@ def run_command(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             # no sink without a flag that needs one: a sink costs a field copy a step
             sink = step_sink if args.progress or args.snapshot_every else None
-            final, report = run(cfg, initial=initial.pop(), step_sink=sink)
+            final, report = run(cfg, step_sink=sink)
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)
         components = connected_components(shape)

@@ -12,7 +12,6 @@ __all__ = [
     "GridMask",
     "zero_rim",
     "rim_any",
-    "heat_step",
     "gradient_magnitude",
     "rms_diff",
     "face_means",
@@ -108,12 +107,6 @@ def zero_rim(a: np.ndarray) -> np.ndarray:
 def rim_any(a: np.ndarray) -> bool:
     """True when any cell on the boundary ring of ``a`` is nonzero."""
     return bool(a[0, :].any() or a[-1, :].any() or a[:, 0].any() or a[:, -1].any())
-
-
-def heat_step(u: np.ndarray, r: float, mode: str) -> np.ndarray:
-    """One explicit heat step u + r (N + S + E + W - 4u) with ``np.pad`` boundary ``mode``."""
-    p = np.pad(u, 1, mode=mode)
-    return u + r * (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * u)
 
 
 def require_same_geometry(a, b) -> None:

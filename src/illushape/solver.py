@@ -17,7 +17,7 @@ import numpy as np
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
 from .elliptic import CgParams, StartSubspace, StepRecord, Workspace, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
-from .grid import heat_step, require_same_geometry, rms_diff, zero_rim
+from .grid import require_same_geometry, rms_diff, zero_rim
 
 __all__ = [
     "SolverConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "RangePreservationError",
     "default_model",
     "null_hypothesis",
-    "presmooth",
     "run",
     "euler_lagrange_residual",
 ]
@@ -133,24 +132,6 @@ def null_hypothesis(mask: ConfigurationMask) -> PhaseField:
     The domain rim is forced to zero so the guess has a zero trace.
     """
     return PhaseField(mask.geometry, zero_rim(1.0 - mask.indicator()))
-
-
-def presmooth(z0: PhaseField, steps: int) -> PhaseField:
-    """Explicit heat steps (size h^2/4) with the rim pinned at zero.
-
-    At most 2 max(W, H)^2 steps, a diffusion time of at most 1/2 on a domain
-    whose longest side is 1, the bound ``canyon.mollify`` keeps too.
-    """
-    limit = 2 * max(z0.geometry.width, z0.geometry.height) ** 2
-    if not 0 <= steps <= limit:
-        raise ValueError(f"presmooth steps must lie in [0, {limit}], a diffusion time of at most 1/2 (got {steps})")
-    if steps == 0:
-        return z0
-    u = z0.values.copy()
-    for _ in range(steps):
-        # zero padding of the interior reproduces the rim, which a PhaseField pins at zero
-        u[1:-1, 1:-1] = heat_step(u[1:-1, 1:-1], 0.25, "constant")
-    return PhaseField(z0.geometry, u)
 
 
 def euler_lagrange_residual(z: np.ndarray, p: ModelParams, work: Workspace | None = None) -> float:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illushape import GridField, GridGeometry, cli
+from illushape import GridField, GridGeometry, SolverConfig, cli, default_model, run
 from illushape.grid import rim_any
 from illushape.cli import (
     BoundaryContactError,
@@ -231,11 +231,9 @@ def test_run_command_rejects_bad_flags(tmp_path):
             assert run_command(base + [flag, bad]) == 1
     assert run_command(base + ["--threshold", "1.5"]) == 1
     assert run_command(base + ["--epsilon-factor", "0.1"]) == 1
-    assert run_command(base + ["--presmooth", "-1"]) == 1
-    # a diffusion time past 1/2: sigma above 1, or more than 2 * 48^2 heat steps
+    # a diffusion time past 1/2: sigma above 1
     assert run_command(base + ["--sigma-factor", "1e200"]) == 1
     assert run_command(base + ["--sigma-factor", "100"]) == 1
-    assert run_command(base + ["--presmooth", "4609"]) == 1
     # a CG tolerance below machine epsilon, which double precision cannot reach
     assert run_command(base + ["--cg-tol", "1e-300"]) == 1
     assert run_command(base + ["--cg-tol", "5e-324"]) == 1
@@ -326,6 +324,18 @@ def test_run_command_end_to_end(tmp_path):
     assert summary["audit"]["drop_bound_misses"] == 0
     assert 0.0 <= summary["audit"]["range_excursion_max"] <= 1e-9
     assert set(summary["audit"]) == {"energy_increases", "drop_bound_misses", "range_excursion_max"}
+
+
+def test_run_command_starts_where_the_library_does(tmp_path):
+    # the command and a plain library run both start from the null hypothesis,
+    # so they take the same steps, bit for bit
+    mask = kanizsa_triangle(48, 48)
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(mask))
+    assert run_command(["--input", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+    _, report = run(SolverConfig(default_model(mask)))
+    cli._write_energy_csv(tmp_path / "library.csv", report)
+    assert (tmp_path / "run" / "energy.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def test_run_command_warns_on_empty_shape(tmp_path, capsys):
@@ -499,7 +509,7 @@ def test_summary_parameters_echo_every_flag(tmp_path):
     values = {
         "--alpha": "0.2", "--beta": "2.0", "--lambda": "2.0", "--epsilon-factor": "2.5",
         "--sigma-factor": "1.5", "--gain": "2.0", "--g": "rational", "--delta": "1e-05",
-        "--max-outer": "4", "--cg-tol": "1e-08", "--threshold": "0.4", "--presmooth": "2",
+        "--max-outer": "4", "--cg-tol": "1e-08", "--threshold": "0.4",
         "--snapshot-every": "3", "--progress": "2", "--bin-threshold": "100",
     }
     declared = {a.option_strings[0] for a in cli.build_parser()._actions}
@@ -510,14 +520,14 @@ def test_summary_parameters_echo_every_flag(tmp_path):
     assert json.loads((out / "summary.json").read_text())["parameters"] == {
         "alpha": 0.2, "beta": 2.0, "lambda": 2.0, "epsilon": 2.5 * h, "epsilon_factor": 2.5,
         "sigma": 1.5 * h, "sigma_factor": 1.5, "gain": 2.0, "g_kind": "rational", "delta": 1e-5,
-        "max_outer": 4, "cg_tol": 1e-8, "threshold": 0.4, "presmooth": 2, "snapshot_every": 3,
+        "max_outer": 4, "cg_tol": 1e-8, "threshold": 0.4, "snapshot_every": 3,
         "invert": True, "bin_threshold": 100, "width": 32, "height": 32, "h": h,
     }
 
 
 def _fuzz_values(action):
-    """Values for one flag: extreme floats and its default, small ints reaching
-    past the 16^2 presmooth bound of 512, each choice, or a switch on or off."""
+    """Values for one flag: extreme floats and its default, small ints and two
+    larger ones, each choice, or a switch on or off."""
     if action.type is float:
         extremes = (5e-324, 1e-300, -1.0, 0.0, 1e300, 1e308, math.inf, -math.inf, math.nan)
         return st.sampled_from((action.default, *extremes))

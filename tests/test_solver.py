@@ -21,7 +21,6 @@ from illushape import (
     euler_lagrange_residual,
     extract_shape,
     null_hypothesis,
-    presmooth,
     rms_diff,
     run,
     total_energy,
@@ -59,28 +58,6 @@ def test_null_hypothesis_values(small_setup):
     assert np.all(z0.values[interior_out] == 1.0)
     assert np.all(z0.values[0, :] == 0.0)
     assert np.all(z0.values[:, -1] == 0.0)
-
-
-def test_presmooth_identity_and_fixed_point(small_setup):
-    mask, _ = small_setup
-    z0 = null_hypothesis(mask)
-    assert presmooth(z0, 0) is z0
-    zeros = PhaseField.zeros(mask.geometry)
-    out = presmooth(zeros, 25)
-    assert np.all(out.values == 0.0)
-
-
-def test_presmooth_stays_in_unit_range():
-    rng = np.random.default_rng(3)
-    from illushape import GridGeometry
-
-    geom = GridGeometry(20, 20)
-    for _ in range(5):
-        z = random_phase(geom, rng)
-        out = presmooth(z, 30)
-        assert out.values.min() >= 0.0
-        assert out.values.max() <= 1.0
-        assert np.all(out.values[0, :] == 0.0)
 
 
 def test_step_zero_is_exact_fixed_point(small_setup):
@@ -579,17 +556,6 @@ def test_run_energy_matches_recomputation(small_setup):
     assert report.steps[-1].energy == total_energy(z, cfg.model)
 
 
-def test_presmooth_bounds_the_diffusion_time():
-    # 2 * 16^2 steps of size h^2/4 are a diffusion time of 1/2
-    from illushape import GridGeometry
-
-    z = random_phase(GridGeometry(16, 16), np.random.default_rng(4))
-    out = presmooth(z, 2 * 16**2)
-    assert 0.0 <= out.values.min() <= out.values.max() <= 1.0
-    with pytest.raises(ValueError, match="presmooth steps"):
-        presmooth(z, 2 * 16**2 + 1)
-
-
 def test_config_validation(small_setup):
     mask, _ = small_setup
     model = default_model(mask)
@@ -597,5 +563,3 @@ def test_config_validation(small_setup):
         SolverConfig(model=model, delta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(model=model, max_outer=0)
-    with pytest.raises(ValueError):
-        presmooth(null_hypothesis(mask), -1)
