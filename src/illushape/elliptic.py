@@ -129,11 +129,11 @@ def linearize(z_n: np.ndarray, p: ModelParams, work: Workspace | None = None) ->
     """
     z = _grid_array(z_n, p.geometry.shape)
     g, f = (np.empty(z.shape), np.empty(z.shape)) if work is None else (work.g, work.f)
-    (zz,) = _scratch(work, z.shape, 1)
-    _surrogate_weight(z, p, out=g)
-    np.add(g, p.lam, out=g, where=p.mask.inside)
+    np.square(z, out=g)
     np.multiply(p.canyon.values, 3.0, out=f)
-    f *= np.square(z, out=zz)
+    f *= g
+    _surrogate_weight(g, p)
+    np.add(g, p.lam, out=g, where=p.mask.inside)
     return LinearizedData(g, f)
 
 
@@ -404,10 +404,11 @@ class Workspace:
     the projected start's A s in ``grids[3]`` and its iterate in ``z_next``
     while it works in the full space, and its nine compact arrays, eight of
     them over those four dead grid arrays, in the reduced loop;
-    ``linearize``, ``total_energy``, ``energy_drop_bound``,
-    ``grid.rms_diff``, ``apply_operator`` and
-    ``solver.euler_lagrange_residual`` take their temporaries from
-    ``grids`` before or after the solve, the last also ``z_next``.
+    ``total_energy``, ``energy_drop_bound``, ``grid.rms_diff``,
+    ``apply_operator`` and ``solver.euler_lagrange_residual`` take their
+    temporaries from ``grids`` before or after the solve.  Outside
+    ``cg_solve`` a function writes no other array of the workspace but its
+    outputs: ``linearize`` writes ``g`` and ``f`` only.
     ``schur`` holds ``cg_solve``'s three plans over ``compact``, views
     only, with the operator they were built for: the fold of the red
     residual into the black one, the product S d (``Operator.schur_plan``)

@@ -102,25 +102,23 @@ def total_energy(z: np.ndarray, p: ModelParams, work=None) -> float:
     flat = z.ravel()
     p.operator.apply(flat, None, lz.ravel(), face.ravel()[:-1])
     grad = cell_scale * _dot(flat, lz.ravel())
-    # in place, rounding as G Phi(z) and chi z z
+    # in place, rounding as G Phi(z) and chi z^2, both from the one z^2 in lz
     np.subtract(1.0, z, out=cell)
     np.square(cell, out=cell)
     cell *= np.square(z, out=lz)
     cell *= p.canyon.values
     well = cell_scale * float(np.sum(cell))
-    np.multiply(p.mask.inside, z, out=cell)
-    cell *= z
+    np.multiply(p.mask.inside, lz, out=cell)
     pin = p.lam * cell_scale * float(np.sum(cell))
     return grad + well + pin
 
 
-def _surrogate_weight(z_n: np.ndarray, p: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Cell weight G (1 + 2 z_n^2) of the surrogate frozen at the array z_n,
-    into ``out`` if given.
+def _surrogate_weight(weight: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Cell weight G (1 + 2 z_n^2) of the surrogate frozen at z_n, made in
+    place from the array z_n^2 and returned.
 
     The linearized operator is assembled from the same weight.
     """
-    weight = np.square(z_n, out=out)
     weight *= 2.0
     weight += 1.0
     weight *= p.canyon.values

@@ -138,17 +138,14 @@ def euler_lagrange_residual(z: np.ndarray, p: ModelParams, work: Workspace | Non
     """Interior RMS residual of the nonlinear stationarity equation at the
     grid array z.
 
-    It runs on the workspace ``work``, whose ``z_next`` it overwrites, so
-    ``z`` must be another array, or on a new workspace without one.
+    It runs on the workspace ``work``, or on a new workspace without one.
     """
     if work is None:
         work = Workspace(p)
     data = linearize(z, p, work=work)
     az = apply_operator(z, data, p, work=work)
-    r = np.subtract(az, data.f_n, out=work.z_next)[1:-1, 1:-1]
-    # r * r contiguous, so its mean sums as a new array's would, over the dead A z
-    r2 = np.multiply(r, r, out=az.ravel()[: r.size].reshape(r.shape))
-    return float(np.sqrt(np.mean(r2)))
+    r = np.subtract(az, data.f_n, out=az)[1:-1, 1:-1]
+    return float(np.sqrt(np.mean(np.square(r))))
 
 
 def run(

@@ -123,7 +123,7 @@ def surrogate_energy(z: PhaseField, z_n: PhaseField, p: ModelParams) -> float:
     require_same_geometry(z, p)
     zv = z.values
     h = p.geometry.h
-    weight = _surrogate_weight(z_n.values, p)
+    weight = _surrogate_weight(np.square(z_n.values), p)
     target = surrogate_target(z_n.values)
     cell_scale = h * h / (2.0 * p.epsilon)
     grad = cell_scale * diffusion_form(z, z, p)
@@ -143,7 +143,7 @@ def first_variation(z: PhaseField, u: PhaseField, z_n: PhaseField, p: ModelParam
     zv = z.values
     uv = u.values
     h = p.geometry.h
-    weight = _surrogate_weight(z_n.values, p)
+    weight = _surrogate_weight(np.square(z_n.values), p)
     target = surrogate_target(z_n.values)
     cell_scale = h * h / p.epsilon
     grad = cell_scale * diffusion_form(u, z, p)

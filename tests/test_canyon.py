@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from illushape import (
+    CanyonField,
     CanyonParams,
     ConfigurationMask,
     GridGeometry,
@@ -202,6 +203,11 @@ def test_params_validation():
     # each finite, but the ceiling overflows: the build would warn, then fail
     with pytest.raises(ValueError, match="ceiling"):
         CanyonParams(sigma=0.1, alpha=1e308, beta=1e308)
+    # a canyon value below the floor or above the ceiling
+    geom = GridGeometry(4, 4)
+    for value in (0.05, 1.15):
+        with pytest.raises(ValueError, match=r"leave \[alpha, alpha \+ beta\]"):
+            CanyonField(geom, np.full(geom.shape, value), alpha=0.1, beta=1.0)
 
 
 def test_mask_geometry_checked():

@@ -23,7 +23,7 @@ from illushape.cli import (
     save_field_image,
     write_pgm,
 )
-from illushape.fixtures import illusory_disk, kanizsa_triangle, mask_to_pixels
+from illushape.fixtures import ellipse_triangle, illusory_disk, kanizsa_triangle, mask_to_pixels
 
 from helpers import reference_p2_raster, rhs_doubled_after
 
@@ -148,6 +148,22 @@ def test_rejects_non_pgm_and_wide_samples(tmp_path):
         plain.write_bytes(data)
         with pytest.raises(PgmFormatError):
             read_pgm(plain)
+
+
+def test_rejects_a_zero_graymap_dimension(tmp_path, capsys):
+    # a zero width, height or maxval, raw or plain: the reader's message, and
+    # the command exits 1 with it and no traceback
+    path = tmp_path / "zero.pgm"
+    out = tmp_path / "out"
+    for magic in (b"P5", b"P2"):
+        for header in (b"0 2 255", b"2 0 255", b"2 2 0"):
+            path.write_bytes(magic + b"\n" + header + b"\n" + bytes(4))
+            with pytest.raises(PgmFormatError, match=r"^graymap width, height and maxval must be positive, "):
+                read_pgm(path)
+            assert run_command(["--input", str(path), "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("illushape: graymap width, height and maxval must be positive, ")
+            assert "Traceback" not in err and not out.exists()
 
 
 def test_load_mask_counts_dark_pixels(tmp_path):
@@ -636,13 +652,17 @@ def test_fixture_writer_cli(tmp_path, capsys):
         ["ellipse-triangle", str(tmp_path / "cramped.pgm"), "--width", "40", "--height", "20"],
         ["disk", str(blocker / "disk.pgm")],
         ["kanizsa", str(tmp_path / "huge.pgm"), "--width", "1000000000", "--height", "1000000000"],
+        ["kanizsa", str(tmp_path / "empty.pgm"), "--width", "4", "--height", "4"],
     ):
         assert fixtures_main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("illushape.fixtures: ")
-    assert not (tmp_path / "tiny.pgm").exists()
-    assert not (tmp_path / "cramped.pgm").exists()
-    assert not (tmp_path / "huge.pgm").exists()
+    assert "empty configuration" in err  # the 4x4 Kanizsa's
+    for name in ("tiny", "cramped", "huge", "empty"):
+        assert not (tmp_path / f"{name}.pgm").exists()
+    for make, size in ((kanizsa_triangle, (4, 4)), (illusory_disk, (4, 4)), (ellipse_triangle, (3, 3))):
+        with pytest.raises(ValueError, match="empty configuration"):
+            make(*size)
 
 
 _SEPARATORS = st.sampled_from([" ", "\n", "\t", "\r\n", "  \n "])

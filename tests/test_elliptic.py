@@ -494,7 +494,10 @@ def test_projected_start_is_the_galerkin_minimizer():
 def test_ring_holds_one_grid_shape():
     # a 16x8 ring's flat rows have the 128 cells of an 8x16 grid too: the ring
     # keeps its first push's shape, a push of another shape raises and leaves
-    # the ring as it was, and so does a solve on another grid
+    # the ring as it was, and so does a solve on another grid; a ring holds one
+    # difference at least
+    with pytest.raises(ValueError, match="size must be positive"):
+        StartSubspace(0)
     rng = np.random.default_rng(97)
     wide, tall = GridGeometry(16, 8), GridGeometry(8, 16)
     space = subspace_of([zero_rim_field(wide, rng).values for _ in range(2)], size=4)

@@ -452,6 +452,36 @@ def test_kernels_take_arrays_or_fields_alike(small_setup):
     assert type(err.value.best) is np.ndarray and not np.shares_memory(err.value.best, work.z_next)
 
 
+def test_step_kernels_write_only_their_outputs_and_the_scratch(small_setup):
+    # outside cg_solve a kernel writes its own outputs and work.grids only:
+    # linearize writes g and f, the residual leaves the iterate and z_next as
+    # they were, and the energy, drop bound and update leave every array but
+    # the scratch
+    mask, cfg = small_setup
+    p = cfg.model
+    rng = np.random.default_rng(37)
+    work = elliptic.Workspace(p)
+    own = [work.z, work.z_next, work.g, work.f]
+    for a in (work.g, work.f, *work.compact):
+        a[...] = rng.uniform(0.0, 1.0, a.shape)
+    work.z[...] = random_phase(mask.geometry, rng).values
+    work.z_next[...] = random_phase(mask.geometry, rng).values
+
+    def written(call, arrays):
+        before = [a.copy() for a in arrays]
+        call()
+        return [i for i, (a, b) in enumerate(zip(arrays, before)) if not np.array_equal(a.view(np.uint64), b.view(np.uint64))]
+
+    assert written(lambda: elliptic.linearize(work.z, p, work=work), [*own, *work.grids]) == [2, 3]
+    assert written(lambda: euler_lagrange_residual(work.z, p, work=work), own[:2]) == []
+    for kernel in (
+        lambda: total_energy(work.z_next, p, work=work),
+        lambda: energy_drop_bound(work.z, work.z_next, p, work=work),
+        lambda: rms_diff(work.z_next, work.z, work=work),
+    ):
+        assert written(kernel, own) == []
+
+
 def test_run_rejects_a_non_finite_iterate(small_setup, monkeypatch):
     # the clamp keeps a NaN, whose energy is NaN: the run raises as a field would
     _, cfg = small_setup
