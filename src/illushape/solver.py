@@ -17,7 +17,7 @@ import numpy as np
 from .canyon import CanyonParams, ConfigurationMask, build_canyon
 from .elliptic import CgParams, StartSubspace, StepRecord, Workspace, apply_operator, cg_solve, linearize
 from .energy import ModelParams, PhaseField, energy_drop_bound, total_energy
-from .grid import require_same_geometry, rms_diff, zero_rim
+from .grid import rms_diff, zero_rim
 
 __all__ = [
     "SolverConfig",
@@ -148,27 +148,21 @@ def euler_lagrange_residual(z: np.ndarray, p: ModelParams, work: Workspace | Non
     return float(np.sqrt(np.mean(np.square(r))))
 
 
-def run(
-    cfg: SolverConfig,
-    *,
-    initial: PhaseField | None = None,
-    step_sink=None,
-) -> tuple[PhaseField, IterationReport]:
+def run(cfg: SolverConfig, *, step_sink=None) -> tuple[PhaseField, IterationReport]:
     """Iterate until the RMS update drops below delta or the budget runs out.
 
-    The run starts from ``initial``, or from the null hypothesis of the
-    model's mask when it is None; one step from z is ``run`` with
-    ``max_outer=1`` and ``initial=z``.  ``step_sink``, when given, is called
-    as ``step_sink(record, field)`` after every step, with the step's record
-    (its energy and update set) and a read-only copy of the new iterate.
-    Returns the final iterate and the per-step report, including the
-    nonlinear stationarity residual of the final iterate.
+    The run starts from the null hypothesis of the model's mask.
+    ``step_sink``, when given, is called as ``step_sink(record, field)``
+    after every step, with the step's record (its energy and update set) and
+    a read-only copy of the new iterate.  Returns the final iterate and the
+    per-step report, including the nonlinear stationarity residual of the
+    final iterate.
 
-    The steps run on one ``Workspace``, into which ``initial`` is copied,
-    so a step allocates no grid array; the iterate is a plain array there,
-    and a field is built only for ``step_sink`` and the return value.  An
-    ``initial`` outside [0, 1] raises ``ValueError``, as does a NaN in the
-    clamped solution, which makes the step's energy NaN.
+    The steps run on one ``Workspace``, into which the null hypothesis is
+    copied, so a step allocates no grid array; the iterate is a plain array
+    there, and a field is built only for ``step_sink`` and the return value.
+    A NaN in the clamped solution raises ``ValueError``, since it makes the
+    step's energy NaN.
 
     A step linearizes at z_n, solves the inner problem once and clamps its
     solution to [0, 1].  Each solve after the first starts from a
@@ -183,14 +177,11 @@ def run(
     and raises ``RangePreservationError`` only beyond that too.  The ring
     is released before the final residual and field.
     """
-    z0 = initial if initial is not None else null_hypothesis(cfg.model.mask)
-    require_same_geometry(z0, cfg.model)
-    if not (0.0 <= z0.values.min() and z0.values.max() <= 1.0):
-        raise ValueError("initial field must lie in [0, 1]")
-    geom = z0.geometry
+    z0 = null_hypothesis(cfg.model.mask)  # before the workspace, so its temporaries do not raise the peak
     work = Workspace(cfg.model)
     np.copyto(work.z, z0.values)
-    del initial, z0  # the run's copy is the only one it keeps
+    del z0  # the run's copy is the only one it keeps
+    geom = cfg.model.geometry
 
     ring = StartSubspace(START_DIRECTIONS)
     report = IterationReport()

