@@ -32,8 +32,8 @@ from .energy import (
     energy_drop_bound,
     total_energy,
 )
-from .grid import GridField, GridGeometry, gradient_magnitude, rms_diff
-from .shape import ComponentSet, ShapeMask, connected_components, extract_shape
+from .grid import GridField, GridGeometry, GridMask, gradient_magnitude, rms_diff
+from .shape import connected_components, extract_shape
 from .solver import (
     IterationReport,
     RangePreservationError,
@@ -52,17 +52,16 @@ __all__ = [
     "CanyonParams",
     "CgConvergenceError",
     "CgParams",
-    "ComponentSet",
     "ConfigurationMask",
     "GridField",
     "GridGeometry",
+    "GridMask",
     "IterationReport",
     "LinearizedData",
     "ModelParams",
     "NoBoundaryError",
     "PhaseField",
     "RangePreservationError",
-    "ShapeMask",
     "SolverConfig",
     "StartSubspace",
     "StepRecord",

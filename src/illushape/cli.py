@@ -270,7 +270,7 @@ def run_command(argv=None) -> int:
             final, report = run(cfg, step_sink=sink)
         elapsed = time.perf_counter() - t0
         shape = extract_shape(final, args.threshold)
-        components = connected_components(shape)
+        areas = connected_components(shape)
         save_field_image(final, out_dir / "final_phase.pgm")
         write_pgm(out_dir / "shape.pgm", shape.inside.astype(np.uint8) * 255)
         _write_energy_csv(out_dir / "energy.csv", report)
@@ -301,9 +301,9 @@ def run_command(argv=None) -> int:
             # median ratio of successive energy drops over the last 20 steps;
             # below 1 when the run was closing in; a diagnostic, never asserted
             "rho_ratio": report.rho_ratio(),
-            "component_count": components.count,
-            "component_areas": components.areas,
-            "empty_shape": components.count == 0,
+            "component_count": len(areas),
+            "component_areas": areas,
+            "empty_shape": not areas,
             "cg_iterations": sum(s.cg_iters for s in report.steps),
             "full_operator_applications": sum(s.full_applications for s in report.steps),
             "reduced_operator_applications": sum(s.reduced_applications for s in report.steps),
@@ -324,10 +324,10 @@ def run_command(argv=None) -> int:
 
     print(
         f"{report.status}: {len(report.steps)} iterations, "
-        f"energy {last.energy:.6g}, {components.count} component(s), "
+        f"energy {last.energy:.6g}, {len(areas)} component(s), "
         f"{elapsed:.2f}s"
     )
-    if components.count == 0:
+    if not areas:
         print(
             "illushape: warning: the shape is empty; the transition band may be too wide "
             "for the figure, try a smaller --epsilon-factor",

@@ -17,6 +17,7 @@ weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +64,17 @@ class ModelParams:
             )
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
+        # Past (alpha + beta) / eps^2, with eps the machine epsilon, the
+        # confinement already pins the inducers at double precision, and more
+        # only drives the inner solve into subnormal arithmetic.  The product
+        # cannot overflow, where the quotient can.
+        eps2 = sys.float_info.epsilon**2
+        ceiling = self.canyon.alpha + self.canyon.beta
+        if self.lam * eps2 > ceiling:
+            raise ValueError(
+                f"lam must be at most (alpha + beta) / eps^2 = {ceiling / eps2:.6g}, "
+                f"eps the machine epsilon; got {self.lam:g}"
+            )
 
     @property
     def geometry(self):

@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from .canyon import ConfigurationMask
-from .grid import GridGeometry
-from .shape import ShapeMask
+from .grid import GridGeometry, GridMask
 
 __all__ = [
     "kanizsa_triangle",
@@ -101,12 +100,12 @@ def kanizsa_triangle(width: int = 128, height: int = 128) -> ConfigurationMask:
     return _finish(geom, inside)
 
 
-def ideal_triangle_shape(width: int = 128, height: int = 128) -> ShapeMask:
+def ideal_triangle_shape(width: int = 128, height: int = 128) -> GridMask:
     """Filled triangle on the pac-man centers; reference region for overlap scores."""
     geom = GridGeometry(width, height)
     X, Y = _cell_centers(geom)
     v = kanizsa_vertices(geom)
-    return ShapeMask(geom, _triangle(X, Y, *v))
+    return GridMask(geom, _triangle(X, Y, *v))
 
 
 def ellipse_triangle(width: int = 192, height: int = 128) -> ConfigurationMask:

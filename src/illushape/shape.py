@@ -2,42 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridField, GridMask
 
 __all__ = [
-    "ShapeMask",
-    "ComponentSet",
     "extract_shape",
     "connected_components",
 ]
 
 
-class ShapeMask(GridMask):
-    """Cells whose phase value strictly exceeds the threshold."""
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentSet:
-    """The number of 4-connected components and their areas, in the raster
-    order of each component's first cell."""
-
-    count: int
-    areas: tuple[int, ...]
-
-
-def extract_shape(z: GridField, threshold: float = 0.5) -> ShapeMask:
-    """Strict-inequality thresholding; cells exactly at the threshold stay out."""
+def extract_shape(z: GridField, threshold: float = 0.5) -> GridMask:
+    """The cells whose phase strictly exceeds the threshold; cells exactly at
+    the threshold stay out."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie strictly between 0 and 1")
-    return ShapeMask(z.geometry, z.values > threshold)
+    return GridMask(z.geometry, z.values > threshold)
 
 
-def connected_components(mask: ShapeMask) -> ComponentSet:
-    """Count 4-connected components by joining the row runs of the mask.
+def connected_components(mask: GridMask) -> tuple[int, ...]:
+    """The areas of the mask's 4-connected components, one per component, in
+    the raster order of each component's first cell.
 
     Each row's runs of shape cells are joined, in a union-find over runs,
     to the runs of the row above that they overlap.  Every component's root
@@ -71,6 +56,5 @@ def connected_components(mask: ShapeMask) -> ComponentSet:
             parent = grand
     root = parent == np.arange(len(starts))
     run_label = np.cumsum(root)[parent]
-    count = int(root.sum())
-    areas = np.bincount(run_label, weights=ends - starts, minlength=count + 1)[1:]
-    return ComponentSet(count, tuple(int(a) for a in areas))
+    areas = np.bincount(run_label, weights=ends - starts)[1:]  # label 0 is unused
+    return tuple(int(a) for a in areas)

@@ -138,10 +138,9 @@ def euler_lagrange_residual(z: np.ndarray, p: ModelParams, work: Workspace | Non
     """Interior RMS residual of the nonlinear stationarity equation at the
     grid array z.
 
-    It runs on the workspace ``work``, or on a new workspace without one.
+    It takes its temporaries from the workspace ``work``, or allocates them
+    without one.
     """
-    if work is None:
-        work = Workspace(p)
     data = linearize(z, p, work=work)
     az = apply_operator(z, data, p, work=work)
     r = np.subtract(az, data.f_n, out=az)[1:-1, 1:-1]

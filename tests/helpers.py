@@ -13,12 +13,12 @@ from illushape import (
     CgParams,
     ConfigurationMask,
     GridGeometry,
+    GridMask,
     IterationReport,
     LinearizedData,
     ModelParams,
     PhaseField,
     RangePreservationError,
-    ShapeMask,
     SolverConfig,
     StartSubspace,
     StepRecord,
@@ -332,7 +332,7 @@ def textbook_reduced_pcg(
     )
 
 
-def iou(a: ShapeMask, b: ShapeMask) -> float:
+def iou(a: GridMask, b: GridMask) -> float:
     """Intersection over union; two empty masks count as identical."""
     require_same_geometry(a, b)
     union = int(np.logical_or(a.inside, b.inside).sum())

@@ -173,10 +173,10 @@ def test_criterion_07_nonempty_illusory_shape(kanizsa):
 def test_criterion_08_topological_splitting(split_run):
     assert split_run.report.status == "converged"
     shape = extract_shape(split_run.field)
-    components = connected_components(shape)
-    assert components.count == 2
+    areas = connected_components(shape)
+    assert len(areas) == 2
     print(f"criterion 8 PASS: ellipse+triangle run split into exactly 2 components "
-          f"(areas {components.areas})")
+          f"(areas {areas})")
 
 
 def test_criterion_09_zero_fixed_point(kanizsa):

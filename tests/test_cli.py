@@ -242,6 +242,8 @@ def test_run_command_rejects_bad_flags(tmp_path):
     assert run_command(base + ["--delta", "nan"]) == 1
     assert run_command(base + ["--lambda", "nan"]) == 1
     assert run_command(base + ["--lambda", "inf"]) == 1
+    # past (alpha + beta) / eps^2 the inner solve would run into subnormals
+    assert run_command(base + ["--lambda", "1e308"]) == 1
     for flag in ("--sigma-factor", "--alpha", "--beta", "--gain"):
         for bad in ("nan", "inf"):
             assert run_command(base + [flag, bad]) == 1
@@ -477,14 +479,12 @@ def test_run_command_reports_a_range_failure(tmp_path, monkeypatch, capsys):
         ["--beta", "1e308"],
         ["--alpha", "1e308"],
         ["--alpha", "1e200", "--beta", "1e200"],
-        ["--lambda", "1e308"],
     ],
-    ids=["beta-1e308", "alpha-1e308", "alpha-beta-1e200", "lambda-1e308"],
+    ids=["beta-1e308", "alpha-1e308", "alpha-beta-1e200"],
 )
 def test_run_command_reports_an_overflow(tmp_path, capsys, flags):
-    # a canyon this deep overflows the solve, and a confinement this strong
-    # breaks CG down: exit 1 with a message, no traceback and no summary,
-    # whose "Infinity" would not be JSON
+    # a canyon this deep overflows the solve: exit 1 with a message, no
+    # traceback and no summary, whose "Infinity" would not be JSON
     path = tmp_path / "disk.pgm"
     write_pgm(path, mask_to_pixels(illusory_disk(32, 32)))
     out = tmp_path / "run"
@@ -503,7 +503,7 @@ def test_run_command_keeps_an_output_directory_it_did_not_make_or_wrote_to(tmp_p
     write_pgm(path, mask_to_pixels(illusory_disk(32, 32)))
     existing = tmp_path / "existing"
     existing.mkdir()
-    assert run_command(["--input", str(path), "--out-dir", str(existing), "--lambda", "1e308"]) == 1
+    assert run_command(["--input", str(path), "--out-dir", str(existing), "--alpha", "1e308"]) == 1
     assert existing.is_dir() and not any(existing.iterdir())
 
     # every right-hand side after step 1's is doubled, so step 2 raises after step 1's snapshot

@@ -112,6 +112,11 @@ def test_model_params_validation():
         flat_model(geom, lam=float("nan"))
     with pytest.raises(ValueError):
         flat_model(geom, lam=float("inf"))
+    # the largest confinement weight double precision resolves against a canyon of ceiling 1
+    cap = 1.0 / np.finfo(float).eps ** 2
+    assert flat_model(geom, lam=cap).lam == cap
+    with pytest.raises(ValueError, match="at most"):
+        flat_model(geom, lam=np.nextafter(cap, np.inf))
 
 
 def test_total_energy_zero_field():
