@@ -28,7 +28,6 @@ from .elliptic import (
 from .energy import (
     ModelParams,
     PhaseField,
-    double_well,
     energy_drop_bound,
     total_energy,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "cg_solve",
     "connected_components",
     "default_model",
-    "double_well",
     "edge_response",
     "energy_drop_bound",
     "euler_lagrange_residual",

@@ -32,6 +32,9 @@ __all__ = [
 
 RED, BLACK = 0, 1  # checkerboard colours: cells with i + j even, odd
 
+# The projected start searches the span of this many recent iterate differences.
+START_DIRECTIONS = 6
+
 # The projected start keeps the directions of the Jacobi-scaled Galerkin
 # matrix whose eigenvalues exceed this much of its largest.
 RANK_RTOL = 1e-15
@@ -295,10 +298,10 @@ class Operator:
 class StartSubspace:
     """Recent iterate differences of an outer run, for ``cg_solve``'s start.
 
-    The differences are held with a zero rim, one per row of a (size, H, W)
-    array, the grid of the first push: row i holds the i-th one pushed until
-    the ring is full.  After
-    that a push overwrites the row that ``galerkin`` chose at the last
+    The differences are held with a zero rim, one per row of a
+    (``START_DIRECTIONS``, H, W) array, the grid of the first push, which
+    allocates it: row i holds the i-th one pushed until the ring is full.
+    After that a push overwrites the row that ``galerkin`` chose at the last
     start: the row that weighs most in a near-null direction of the
     Galerkin matrix when it has one, otherwise the row, never the newest,
     that carried the least of the start.  A push with no choice pending
@@ -310,15 +313,12 @@ class StartSubspace:
     d_i' diag(g_n) d_j is recomputed per step.
     """
 
-    def __init__(self, size: int):
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self.size = size
+    def __init__(self):
         self.diffs: np.ndarray | None = None
         self.count = 0
         self.newest = -1  # the row the last push wrote
         self.evict: int | None = None  # the row the next push writes, chosen by galerkin
-        self.l_gram = np.zeros((size, size))
+        self.l_gram = np.zeros((START_DIRECTIONS, START_DIRECTIONS))
         self.stale: list[int] = []  # rows whose L-Gram entries are yet to be computed
 
     @property
@@ -330,15 +330,15 @@ class StartSubspace:
         """Enter ``new - old`` for a grid array ``new`` (the rim is zeroed) of
         the first push's shape; another shape raises ``ValueError``."""
         if self.diffs is None:
-            self.diffs = np.empty((self.size, *new.shape))
+            self.diffs = np.empty((START_DIRECTIONS, *new.shape))
         elif new.shape != self.diffs.shape[1:]:
             raise ValueError(f"difference of shape {new.shape} and ring of shape {self.diffs.shape[1:]} are different grids")
-        slot = (self.newest + 1) % self.size if self.evict is None else self.evict
+        slot = (self.newest + 1) % START_DIRECTIONS if self.evict is None else self.evict
         zero_rim(np.subtract(new, old, out=self.diffs[slot]))
         if slot not in self.stale:
             self.stale.append(slot)
         self.newest, self.evict = slot, None
-        self.count = min(self.count + 1, self.size)
+        self.count = min(self.count + 1, START_DIRECTIONS)
 
     def galerkin(
         self, op: Operator, g: np.ndarray, r: np.ndarray, work: np.ndarray, face: np.ndarray
@@ -378,7 +378,7 @@ class StartSubspace:
         rhs = scale * np.einsum("n,jn->j", r, rows)
         kept = v[:, keep]
         theta = scale * (kept @ ((kept.T @ rhs) / lam[keep]))
-        if k == self.size:
+        if k == START_DIRECTIONS:
             if lam[0] < EVICT_RTOL * lam[-1]:
                 self.evict = int(np.argmax(np.abs(v[:, 0])))
             else:

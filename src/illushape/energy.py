@@ -29,7 +29,6 @@ from .grid import GridField, _dot, _grid_array, _scratch, require_same_geometry,
 __all__ = [
     "PhaseField",
     "ModelParams",
-    "double_well",
     "total_energy",
     "energy_drop_bound",
 ]
@@ -86,11 +85,6 @@ class ModelParams:
         from .elliptic import Operator  # elliptic builds on this module
 
         return Operator(self)
-
-
-def double_well(z):
-    """Double-well potential (1 - z)^2 z^2 with minima at the pure phases."""
-    return np.square(1.0 - z) * np.square(z)
 
 
 def total_energy(z: np.ndarray, p: ModelParams, work=None) -> float:

@@ -78,14 +78,15 @@ def _finish(geom: GridGeometry, inside: np.ndarray) -> ConfigurationMask:
     return mask
 
 
+def _upright_triangle(cx: float, cy: float, r: float) -> tuple[tuple[float, float], ...]:
+    """Vertices of the upright triangle with center (cx, cy) and circumradius r."""
+    angles = (-np.pi / 2, np.pi / 6, 5 * np.pi / 6)
+    return tuple((cx + r * np.cos(a), cy + r * np.sin(a)) for a in angles)
+
+
 def kanizsa_vertices(geom: GridGeometry) -> tuple[tuple[float, float], ...]:
     """Pac-man centers: vertices of an upright triangle around the domain center."""
-    cx = 0.5 * geom.width * geom.h
-    cy = 0.5 * geom.height * geom.h
-    angles = (-np.pi / 2, np.pi / 6, 5 * np.pi / 6)
-    return tuple(
-        (cx + CIRCUMRADIUS * np.cos(a), cy + CIRCUMRADIUS * np.sin(a)) for a in angles
-    )
+    return _upright_triangle(0.5 * geom.width * geom.h, 0.5 * geom.height * geom.h, CIRCUMRADIUS)
 
 
 def kanizsa_triangle(width: int = 128, height: int = 128) -> ConfigurationMask:
@@ -127,10 +128,7 @@ def ellipse_triangle(width: int = 192, height: int = 128) -> ConfigurationMask:
         ring_disks |= _disk(X, Y, ecx + ea * np.cos(t), ecy + eb * np.sin(t), 0.062)
     group_a = ring_disks & ~ellipse
 
-    tcx, tcy = 0.725, 0.5 * span_y + 0.01
-    tr = 0.175
-    angles = (-np.pi / 2, np.pi / 6, 5 * np.pi / 6)
-    tv = tuple((tcx + tr * np.cos(a), tcy + tr * np.sin(a)) for a in angles)
+    tv = _upright_triangle(0.725, 0.5 * span_y + 0.01, 0.175)
     tri_disks = np.zeros(geom.shape, dtype=bool)
     for vx, vy in tv:
         tri_disks |= _disk(X, Y, vx, vy, 0.08)

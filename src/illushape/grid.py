@@ -72,14 +72,6 @@ class GridField:
         """The read-only values, so that a kernel takes a field as a grid array."""
         return np.array(self.values, dtype=dtype, copy=copy)
 
-    @classmethod
-    def zeros(cls, geometry: GridGeometry):
-        return cls(geometry, np.zeros(geometry.shape))
-
-    @classmethod
-    def full(cls, geometry: GridGeometry, value: float):
-        return cls(geometry, np.full(geometry.shape, float(value)))
-
 
 @dataclass(frozen=True, eq=False)
 class GridMask:

@@ -30,10 +30,6 @@ __all__ = [
     "euler_lagrange_residual",
 ]
 
-
-# The projected start searches the span of this many recent iterate differences.
-START_DIRECTIONS = 6
-
 # Relative slack of the energy audit: a step may raise the energy, or drop it
 # short of its bound, by this much times 1 + the first energy (rounding).
 AUDIT_RTOL = 1e-9
@@ -165,7 +161,7 @@ def run(cfg: SolverConfig, *, step_sink=None) -> tuple[PhaseField, IterationRepo
 
     A step linearizes at z_n, solves the inner problem once and clamps its
     solution to [0, 1].  Each solve after the first starts from a
-    projection: a ring of up to ``START_DIRECTIONS`` recent iterate
+    projection: a ring of up to ``elliptic.START_DIRECTIONS`` recent iterate
     differences (``StartSubspace``) spans a subspace, and ``cg_solve``
     starts from the best point of z_n plus that span.  From z_n in [0, 1]
     the exact inner solution lies in [0, 1] (f_n >= 0 and A_n 1 >= f_n), so
@@ -182,7 +178,7 @@ def run(cfg: SolverConfig, *, step_sink=None) -> tuple[PhaseField, IterationRepo
     del z0  # the run's copy is the only one it keeps
     geom = cfg.model.geometry
 
-    ring = StartSubspace(START_DIRECTIONS)
+    ring = StartSubspace()
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z, z_next = work.z, work.z_next

@@ -183,6 +183,19 @@ def test_load_mask_counts_dark_pixels(tmp_path):
     assert np.array_equal(load_mask(binary).inside, mask.inside)
 
 
+def test_fixtures_keep_the_benchmark_inducer_counts():
+    # the benchmark's inputs and its reference energies come from these masks,
+    # so a fixture edit that moves a cell shows here first
+    for mask, count in (
+        (kanizsa_triangle(128, 128), 1832),
+        (kanizsa_triangle(512, 512), 29626),
+        (ellipse_triangle(192, 128), 3309),
+        (illusory_disk(128, 128), 632),
+        (kanizsa_triangle(64, 64), 466),
+    ):
+        assert mask.count() == count
+
+
 def test_load_mask_invert_hits_border(tmp_path):
     path = tmp_path / "kanizsa.pgm"
     write_pgm(path, mask_to_pixels(kanizsa_triangle(64, 64)))
@@ -210,7 +223,7 @@ def test_save_field_quantization(tmp_path):
     geom = GridGeometry(4, 3)
     for value, expected in ((0.0, 0), (1.0, 255), (0.5, 128)):
         path = tmp_path / f"v{expected}.pgm"
-        save_field_image(GridField.full(geom, value), path)
+        save_field_image(GridField(geom, np.full(geom.shape, value)), path)
         _, _, pixels = read_pgm(path)
         assert np.all(pixels == expected)
 

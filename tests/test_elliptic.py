@@ -25,6 +25,7 @@ from illushape import elliptic
 from illushape.grid import zero_rim
 
 from helpers import (
+    START_DIRECTIONS,
     dense_matrix,
     dense_solve_oracle,
     face_coefficients,
@@ -56,7 +57,7 @@ def test_linearize_at_zero():
     from helpers import random_model
 
     p = random_model(geom, rng)
-    data = linearize(GridField.zeros(geom), p)
+    data = linearize(np.zeros(geom.shape), p)
     chi = p.mask.indicator()
     assert np.allclose(data.g_n, p.canyon.values + p.lam * chi, rtol=0, atol=0)
     assert np.all(data.f_n == 0.0)
@@ -68,7 +69,7 @@ def test_linearize_at_one():
     from helpers import random_model
 
     p = random_model(geom, rng)
-    data = linearize(GridField.full(geom, 1.0), p)
+    data = linearize(np.ones(geom.shape), p)
     chi = p.mask.indicator()
     assert np.allclose(data.g_n, 3.0 * p.canyon.values + p.lam * chi, rtol=1e-15)
     assert np.allclose(data.f_n, 3.0 * p.canyon.values, rtol=1e-15)
@@ -97,7 +98,7 @@ def test_operator_on_zero_field():
     rng = np.random.default_rng(3)
     geom = GridGeometry(9, 9)
     data, p = random_instance(geom, rng)
-    out = apply_operator(GridField.zeros(geom), data, p)
+    out = apply_operator(np.zeros(geom.shape), data, p)
     assert np.all(out == 0.0)
 
 
@@ -151,9 +152,9 @@ def test_operator_built_once_per_model(monkeypatch):
     assert len(calls) == 2
 
 
-def subspace_of(columns, size=None):
+def subspace_of(columns):
     """A ring holding the given grid arrays, in slot order."""
-    space = StartSubspace(size or len(columns))
+    space = StartSubspace()
     for c in columns:
         space.push(c, 0.0)
     return space
@@ -343,7 +344,7 @@ def test_cg_zero_rhs_short_circuits():
     # on a full ring, as in a run: a start chose a row, a push wrote it, and the
     # zero right-hand side leaves the ring untouched, so the next push, with no
     # choice pending, writes the row after the newest
-    space = subspace_of([zero_rim_field(geom, rng).values for _ in range(4)])
+    space = subspace_of([zero_rim_field(geom, rng).values for _ in range(START_DIRECTIONS)])
     cg_solve(data, p, subspace=space)
     chosen = space.evict
     space.push(zero_rim_field(geom, rng).values, 0.0)
@@ -353,7 +354,7 @@ def test_cg_zero_rhs_short_circuits():
     assert stats.full_applications == stats.reduced_applications == stats.start_rank == 0
     assert space.evict is None and space.stale == [chosen]
     space.push(zero_rim_field(geom, rng).values, 0.0)
-    assert space.newest == (chosen + 1) % 4
+    assert space.newest == (chosen + 1) % START_DIRECTIONS
 
 
 def test_cg_matches_dense_oracle():
@@ -469,8 +470,8 @@ def test_projected_start_is_the_galerkin_minimizer():
                 warm = zero_rim_field(geom, rng, 0.0, 1.0)
                 # the ring zeroes the rim the interior-only oracle does not see
                 columns = [rng.uniform(-1.0, 1.0, size=geom.shape) for _ in range(k)]
-                for x0_field in (warm, GridField.zeros(geom)):
-                    space = subspace_of(columns, size=6)
+                for x0_field in (warm, GridField(geom, np.zeros(geom.shape))):
+                    space = subspace_of(columns)
                     theta, rank, applied = galerkin_start(data, p, x0_field, space)
                     assert rank == applied == k
                     D = np.stack([interior(c) for c in columns], axis=1)
@@ -494,13 +495,10 @@ def test_projected_start_is_the_galerkin_minimizer():
 def test_ring_holds_one_grid_shape():
     # a 16x8 ring's flat rows have the 128 cells of an 8x16 grid too: the ring
     # keeps its first push's shape, a push of another shape raises and leaves
-    # the ring as it was, and so does a solve on another grid; a ring holds one
-    # difference at least
-    with pytest.raises(ValueError, match="size must be positive"):
-        StartSubspace(0)
+    # the ring as it was, and so does a solve on another grid
     rng = np.random.default_rng(97)
     wide, tall = GridGeometry(16, 8), GridGeometry(8, 16)
-    space = subspace_of([zero_rim_field(wide, rng).values for _ in range(2)], size=4)
+    space = subspace_of([zero_rim_field(wide, rng).values for _ in range(2)])
     with pytest.raises(ValueError, match="different grids"):
         space.push(zero_rim_field(tall, rng).values, 0.0)
     assert space.diffs.shape[1:] == wide.shape and space.count == 2 and space.newest == 1
@@ -520,7 +518,7 @@ def test_ring_keeps_the_last_differences():
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
     x0 = interior(warm.values)
     iterates = [zero_rim_field(geom, rng).values for _ in range(9)]
-    space = StartSubspace(6)
+    space = StartSubspace()
     for n in range(8):
         space.push(iterates[n + 1], iterates[n])
         if n == 3:
@@ -602,21 +600,22 @@ def test_ring_stays_first_in_first_out_without_a_choice():
     geom = GridGeometry(9, 8)
     data, p = random_instance(geom, rng)
     warm = zero_rim_field(geom, rng, 0.0, 1.0)
-    space = StartSubspace(4)
+    space = StartSubspace()
+    size = START_DIRECTIONS
     written, chosen = [], []
-    for n in range(8):
-        if n in (2, 5):
+    for n in range(size + 4):
+        if n in (2, size + 1):
             galerkin_start(data, p, warm, space)
         chosen.append(space.evict)
         space.push(zero_rim_field(geom, rng).values, 0.0)
         written.append(space.newest)
-    choice = chosen[5]
-    assert [n for n, c in enumerate(chosen) if c is not None] == [5]
-    assert written[:5] == [0, 1, 2, 3, 0]
-    assert written[5] == choice != 0
+    choice = chosen[size + 1]
+    assert [n for n, c in enumerate(chosen) if c is not None] == [size + 1]
+    assert written[: size + 1] == [*range(size), 0]
+    assert written[size + 1] == choice != 0
     # a pointer advanced by every push that did not choose would write row 1 next
     assert choice > 1
-    assert written[6:] == [(choice + 1) % 4, (choice + 2) % 4]
+    assert written[size + 2 :] == [(choice + 1) % size, (choice + 2) % size]
 
 
 def test_rank_deficient_subspaces_start_no_worse():
@@ -642,7 +641,7 @@ def test_rank_deficient_subspaces_start_no_worse():
                 ([u, zero_rim(u + 1e-9 * v), w], 2),
                 ([np.zeros(geom.shape)], 0),
             ):
-                space = subspace_of(columns, size=6)
+                space = subspace_of(columns)
                 theta, rank, _ = galerkin_start(data, p, warm, space)
                 assert np.all(np.isfinite(theta))
                 assert rank == want_rank

@@ -39,7 +39,7 @@ def flood_oracle(inside):
 
 def test_extract_zero_field_is_empty():
     geom = GridGeometry(8, 8)
-    assert extract_shape(GridField.zeros(geom)).count() == 0
+    assert extract_shape(GridField(geom, np.zeros(geom.shape))).count() == 0
 
 
 def test_extract_indicator_block():
@@ -53,15 +53,15 @@ def test_extract_indicator_block():
 
 def test_extract_uses_strict_inequality():
     geom = GridGeometry(8, 8)
-    assert extract_shape(GridField.full(geom, 0.5)).count() == 0
-    assert extract_shape(GridField.full(geom, 0.5 + 1e-12)).count() == geom.cells
+    assert extract_shape(GridField(geom, np.full(geom.shape, 0.5))).count() == 0
+    assert extract_shape(GridField(geom, np.full(geom.shape, 0.5 + 1e-12))).count() == geom.cells
 
 
 def test_extract_validates_threshold():
     geom = GridGeometry(8, 8)
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            extract_shape(GridField.zeros(geom), bad)
+            extract_shape(GridField(geom, np.zeros(geom.shape)), bad)
 
 
 def test_extract_monotone_in_threshold():

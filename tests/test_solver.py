@@ -396,7 +396,7 @@ def test_kernels_take_arrays_or_fields_alike(small_setup):
         return x.copy()
 
     def ring():
-        space = elliptic.StartSubspace(6)
+        space = elliptic.StartSubspace()
         space.push(w.values, z.values)
         space.push(np.square(w.values), w.values)
         return space
