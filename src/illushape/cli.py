@@ -293,11 +293,9 @@ def run_command(argv=None) -> int:
             "final_energy": last.energy,
             "final_rms_update": last.rms_update,
             "el_residual": report.el_residual,
-            # square roots of the per-step energy drops; a bounded tail suggests
-            # fast (quadratic power law) convergence; a diagnostic, never asserted
-            "sqrt_rho_partial_sum": float(
-                sum(math.sqrt(max(s.rho, 0.0)) for s in report.steps if not math.isnan(s.rho))
-            ),
+            # square roots of every step's energy drop, the first included; a bounded
+            # tail suggests fast (quadratic power law) convergence; a diagnostic only
+            "sqrt_rho_partial_sum": sum(math.sqrt(max(s.rho, 0.0)) for s in report.steps),
             # median ratio of successive energy drops over the last 20 steps;
             # below 1 when the run was closing in; a diagnostic, never asserted
             "rho_ratio": report.rho_ratio(),

@@ -92,8 +92,9 @@ class StepRecord:
     ``range_bound`` bounds the solution's error in the max norm: the
     solve's bound (see ``cg_solve``), or the true residual's where
     ``solver.run`` looked at it.  ``solver.run``'s step sets the pre-clamp
-    range and then the rest.  ``rho`` and ``drop_bound`` compare this
-    iterate with its successor: NaN on the final record.
+    range and then the rest.  ``rho`` is the energy drop from the previous
+    iterate (the null hypothesis for the first step) to this one, and
+    ``drop_bound`` its guaranteed lower bound.
     """
 
     iter: int = 0

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # Relative slack of the energy audit: a step may raise the energy, or drop it
-# short of its bound, by this much times 1 + the first energy (rounding).
+# short of its bound, by this much times 1 + E_1, the first step's energy (rounding).
 AUDIT_RTOL = 1e-9
 
 
@@ -60,21 +60,18 @@ class IterationReport:
     status: str = "max_outer_reached"
     el_residual: float = math.nan
 
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.steps])
-
     def audit(self) -> dict:
         """The run's guarantees, audited step by step.
 
-        Counts the energy rises and the steps whose energy drop ``rho``
-        falls short of ``drop_bound``, each beyond the slack
-        ``AUDIT_RTOL * (1 + E_1)`` with E_1 the first step's energy,
-        and gives the largest pre-clamp excursion outside [0, 1].
+        Counts the steps, the first included, whose energy drop ``rho`` is
+        below zero or short of ``drop_bound``, each beyond the slack
+        ``AUDIT_RTOL * (1 + E_1)`` with E_1 the first step's energy, and
+        gives the largest pre-clamp excursion outside [0, 1].
         """
         slack = AUDIT_RTOL * (1.0 + self.steps[0].energy)
         return {
-            "energy_increases": int(np.sum(np.diff(self.energies()) > slack)),
-            "drop_bound_misses": sum(1 for s in self.steps[:-1] if not s.rho >= s.drop_bound - slack),
+            "energy_increases": sum(1 for s in self.steps if s.rho < -slack),
+            "drop_bound_misses": sum(1 for s in self.steps if not s.rho >= s.drop_bound - slack),
             "range_excursion_max": max(
                 max(0.0, -s.pre_clamp_min, s.pre_clamp_max - 1.0) for s in self.steps
             ),
@@ -83,11 +80,11 @@ class IterationReport:
     def rho_ratio(self) -> float | None:
         """Observed contraction of the energy drops near the end of the run.
 
-        The median of rho_{n+1} / rho_n over consecutive pairs among the last
-        20 drops (the final step has none) where both drops are positive;
-        None with fewer than two such pairs.  A diagnostic only.
+        The median of rho_{n+1} / rho_n over consecutive pairs among the
+        drops of the last 20 steps where both drops are positive; None with
+        fewer than two such pairs.  A diagnostic only.
         """
-        rhos = [s.rho for s in self.steps[:-1]][-20:]
+        rhos = [s.rho for s in self.steps[-20:]]
         ratios = [b / a for a, b in zip(rhos, rhos[1:]) if a > 0.0 and b > 0.0]
         return float(np.median(ratios)) if len(ratios) >= 2 else None
 
@@ -148,8 +145,8 @@ def run(cfg: SolverConfig, *, step_sink=None) -> tuple[PhaseField, IterationRepo
 
     The run starts from the null hypothesis of the model's mask.
     ``step_sink``, when given, is called as ``step_sink(record, field)``
-    after every step, with the step's record (its energy and update set) and
-    a read-only copy of the new iterate.  Returns the final iterate and the
+    after every step, with the step's record, every field set, and a
+    read-only copy of the new iterate.  Returns the final iterate and the
     per-step report, including the nonlinear stationarity residual of the
     final iterate.
 
@@ -176,6 +173,7 @@ def run(cfg: SolverConfig, *, step_sink=None) -> tuple[PhaseField, IterationRepo
     work = Workspace(cfg.model)
     np.copyto(work.z, z0.values)
     del z0  # the run's copy is the only one it keeps
+    energy = total_energy(work.z, cfg.model, work=work)  # E_0, which step 1's rho drops from
     geom = cfg.model.geometry
 
     ring = StartSubspace()
@@ -198,10 +196,9 @@ def run(cfg: SolverConfig, *, step_sink=None) -> tuple[PhaseField, IterationRepo
         if not math.isfinite(record.energy):
             raise ValueError("field has non-finite entries")
         record.rms_update = rms_diff(z_next, z, work=work)
-        if report.steps:
-            prev = report.steps[-1]
-            prev.rho = prev.energy - record.energy
-            prev.drop_bound = energy_drop_bound(z, z_next, cfg.model, work=work)
+        record.rho = energy - record.energy
+        energy = record.energy
+        record.drop_bound = energy_drop_bound(z, z_next, cfg.model, work=work)
         report.steps.append(record)
         if step_sink is not None:
             step_sink(record, PhaseField(geom, z_next))

@@ -387,8 +387,9 @@ def reference_run(cfg: SolverConfig) -> tuple[PhaseField, IterationReport]:
     """``solver.run`` as a loop of the kernels, each call on its own scratch.
 
     The reference for the run's step and workspace, whose scratch aliases by
-    phase: ``reference_step`` with the run's projected start, then
-    ``total_energy``, ``rms_diff``, ``energy_drop_bound`` and the final
+    phase: the null hypothesis's ``total_energy``, then per step
+    ``reference_step`` with the run's projected start, ``total_energy``,
+    ``rms_diff`` and ``energy_drop_bound``, and the final
     ``euler_lagrange_residual``, each without a workspace.
     """
     return _field_run(cfg, StartSubspace())
@@ -432,16 +433,16 @@ def true_relative_residual(solution: np.ndarray, data: LinearizedData, p: ModelP
 
 def _field_run(cfg: SolverConfig, ring: StartSubspace | None) -> tuple[PhaseField, IterationReport]:
     z = null_hypothesis(cfg.model.mask)
+    energy = total_energy(z, cfg.model)
     report = IterationReport()
     for n in range(1, cfg.max_outer + 1):
         z_next, record = reference_step(z, cfg, ring)
         record.iter = n
         record.energy = total_energy(z_next, cfg.model)
         record.rms_update = rms_diff(z_next, z)
-        if report.steps:
-            prev = report.steps[-1]
-            prev.rho = prev.energy - record.energy
-            prev.drop_bound = energy_drop_bound(z, z_next, cfg.model)
+        record.rho = energy - record.energy
+        energy = record.energy
+        record.drop_bound = energy_drop_bound(z, z_next, cfg.model)
         report.steps.append(record)
         if ring is not None:
             ring.push(z_next.values, z.values)

@@ -321,12 +321,14 @@ def test_run_command_end_to_end(tmp_path):
         "range_bound"
     )
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert all(math.isfinite(x) for row in rows for x in row)
     energies = [row[1] for row in rows]
     slack = 1e-9 * (1.0 + energies[0])
     assert all(b <= a + slack for a, b in zip(energies, energies[1:]))
-    # rho and drop_bound describe the step to the next row, so the last row has neither
-    assert all(row[2] >= row[6] - slack for row in rows[:-1])
-    assert math.isnan(rows[-1][2]) and math.isnan(rows[-1][6])
+    # every row carries its own step's drop, from the null hypothesis on row 1,
+    # and that drop's bound; the CSV's 17 digits round-trip
+    assert all(row[2] >= -slack and row[2] >= row[6] - slack for row in rows)
+    assert all(row[2] == prev[1] - row[1] for prev, row in zip(rows, rows[1:]))
     assert all(-1e-9 <= row[7] <= row[8] <= 1.0 + 1e-9 for row in rows)
     # the first inner solve has no earlier iterates to start from, and the
     # ring holds at most six differences
@@ -448,7 +450,8 @@ def test_run_command_audit_exits_3_on_energy_rise(tmp_path, monkeypatch, capsys)
 
     def rising_total_energy(z, p, **kwargs):
         calls.append(None)
-        return real_total_energy(z, p, **kwargs) + (1.0 if len(calls) == 3 else 0.0)
+        # the first call is the null hypothesis's energy, so the fourth is step 3's
+        return real_total_energy(z, p, **kwargs) + (1.0 if len(calls) == 4 else 0.0)
 
     monkeypatch.setattr(solver, "total_energy", rising_total_energy)
     path = tmp_path / "kanizsa.pgm"
@@ -457,10 +460,43 @@ def test_run_command_audit_exits_3_on_energy_rise(tmp_path, monkeypatch, capsys)
     code = run_command(["--input", str(path), "--out-dir", str(out), "--max-outer", "6"])
     assert code == 3
     summary = json.loads((out / "summary.json").read_text())
-    # step 3 rises above step 2, so step 2 also falls short of its drop bound
+    # step 3 rises above step 2, so its own row carries both the rise and the miss
     assert summary["audit"]["energy_increases"] == 1
     assert summary["audit"]["drop_bound_misses"] == 1
     assert summary["status"] == "max_outer_reached"
+    rho = [float(line.split(",")[2]) for line in (out / "energy.csv").read_text().splitlines()[1:]]
+    assert rho[2] < 0.0 and min(rho[:2] + rho[3:]) > 0.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("illushape: audit failed: 1 energy increase")
+
+
+def test_run_command_audits_the_first_step(tmp_path, monkeypatch, capsys):
+    # the first solution is damped to 0.4 of itself on every other cell: it stays
+    # in [0, 1] but raises the energy above the null hypothesis's, which only the
+    # first step's own drop and bound can show
+    from illushape import solver
+
+    real_cg_solve = solver.cg_solve
+    calls = []
+
+    def damped_first_solve(*args, **kwargs):
+        solution, record = real_cg_solve(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 1:
+            i, j = np.indices(solution.shape)
+            solution[(i + j) % 2 == 0] *= 0.4
+        return solution, record
+
+    monkeypatch.setattr(solver, "cg_solve", damped_first_solve)
+    path = tmp_path / "kanizsa.pgm"
+    write_pgm(path, mask_to_pixels(kanizsa_triangle(48, 48)))
+    out = tmp_path / "run"
+    assert run_command(["--input", str(path), "--out-dir", str(out), "--max-outer", "6"]) == 3
+    audit = json.loads((out / "summary.json").read_text())["audit"]
+    assert (audit["energy_increases"], audit["drop_bound_misses"]) == (1, 1)
+    assert 0.0 <= audit["range_excursion_max"] <= 1e-9
+    rows = [[float(x) for x in line.split(",")] for line in (out / "energy.csv").read_text().splitlines()[1:]]
+    assert rows[0][2] < 0.0 and all(row[2] > 0.0 for row in rows[1:])
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("illushape: audit failed: 1 energy increase")
 
@@ -594,6 +630,13 @@ def test_run_command_survives_fuzzed_flags(values):
         assert run_command(argv) in (0, 1, 2, 3)
         if (out / "summary.json").exists():
             json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        if (out / "energy.csv").exists():
+            # finite floats only, but for the range bound, residual / --alpha, which
+            # overflows to inf at a subnormal --alpha
+            header, *lines = (out / "energy.csv").read_text().splitlines()
+            for line in lines:
+                for name, x in zip(header.split(","), line.split(","), strict=True):
+                    assert math.isfinite(float(x)) or (name == "range_bound" and float(x) == math.inf)
 
 
 def test_run_command_budget_exit_code(tmp_path):
